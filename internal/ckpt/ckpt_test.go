@@ -151,6 +151,30 @@ func TestOverlapPipelinedBeatsSerial(t *testing.T) {
 	}
 }
 
+// TestSetSchedulesExactBound: with no overlap the writer clock and the
+// serial schedule add the same seconds in different orders, and the sums
+// can differ in the last bit. The pipelined schedule must still never
+// exceed the serial one.
+func TestSetSchedulesExactBound(t *testing.T) {
+	compress, w1, w2 := 0.1, 0.2, 0.3
+	writerClock := (compress + w1) + w2 // the writer waits for each chunk
+	res := &WriteResult{SimWriteSeconds: w1 + w2}
+	if writerClock <= compress+res.SimWriteSeconds {
+		t.Fatalf("inputs do not reproduce the rounding: %.17g <= %.17g",
+			writerClock, compress+res.SimWriteSeconds)
+	}
+	res.setSchedules(compress, writerClock)
+	if res.SimPipelinedSeconds > res.SimSerialSeconds {
+		t.Fatalf("pipelined %.17g > serial %.17g", res.SimPipelinedSeconds, res.SimSerialSeconds)
+	}
+	if m := res.OverlapMargin(); m != 0 {
+		t.Fatalf("overlap margin %v, want exactly 0 with no overlap", m)
+	}
+	if res.CompressWallSeconds != compress {
+		t.Fatalf("compress wall %v, want %v", res.CompressWallSeconds, compress)
+	}
+}
+
 func TestWriteFaultsRetriedToSuccess(t *testing.T) {
 	set := testSet(3)
 	clean := NewMemMedium()

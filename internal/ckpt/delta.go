@@ -498,9 +498,7 @@ func writeDelta(med Medium, set Set, opts WriteOptions) (*WriteResult, error) {
 	res.Blobs = len(m.Blobs)
 	res.FileBytes = offset + int64(len(mb)) + footerLen
 	res.RawBytes = m.RawBytes()
-	res.CompressWallSeconds = compressWall
-	res.SimPipelinedSeconds = writerClock + res.ECEncodeSeconds
-	res.SimSerialSeconds = compressWall + res.SimWriteSeconds + res.ECEncodeSeconds
+	res.setSchedules(compressWall, writerClock)
 	res.MeanRelEB = meanRelEB(set)
 	obs.AddFloat("lcpio_ckpt_sim_write_seconds_total", res.SimWriteSeconds)
 	obs.Set("lcpio_ckpt_queue_depth", 0)

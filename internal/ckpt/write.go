@@ -313,6 +313,20 @@ func (r *WriteResult) ParityOverhead() float64 {
 	return float64(r.ParityBytes) / float64(r.PayloadBytes)
 }
 
+// setSchedules composes the serial and pipelined write schedules from the
+// drain: compressWall is when the last chunk finished compressing and
+// writerClock when the writer finished draining. The writer never starts a
+// transfer before its chunk is compressed, so its clock is bounded by
+// compressWall plus every transfer; the bound is applied exactly, because
+// the two sums add the same seconds in different orders and can differ in
+// the last bit. The parity fold is writer-side CPU work; it extends both
+// schedules equally (the serial schedule would run it after compressing).
+func (r *WriteResult) setSchedules(compressWall, writerClock float64) {
+	r.CompressWallSeconds = compressWall
+	r.SimSerialSeconds = compressWall + r.SimWriteSeconds + r.ECEncodeSeconds
+	r.SimPipelinedSeconds = math.Min(writerClock+r.ECEncodeSeconds, r.SimSerialSeconds)
+}
+
 // OverlapMargin is the fraction of the serial schedule the pipeline saved:
 // (serial − pipelined) / serial.
 func (r *WriteResult) OverlapMargin() float64 {
@@ -512,11 +526,7 @@ func Write(med Medium, set Set, opts WriteOptions) (*WriteResult, error) {
 
 	res.FileBytes = offset + int64(len(mb)) + footerLen
 	res.RawBytes = m.RawBytes()
-	res.CompressWallSeconds = compressWall
-	// The parity fold is writer-side CPU work; it extends both schedules
-	// equally (the serial schedule would run it after compressing).
-	res.SimPipelinedSeconds = writerClock + res.ECEncodeSeconds
-	res.SimSerialSeconds = compressWall + res.SimWriteSeconds + res.ECEncodeSeconds
+	res.setSchedules(compressWall, writerClock)
 	res.MeanRelEB = meanRelEB(set)
 	obs.AddFloat("lcpio_ckpt_sim_write_seconds_total", res.SimWriteSeconds)
 	obs.Set("lcpio_ckpt_queue_depth", 0)

@@ -308,8 +308,10 @@ func verifyCutoff[F Float](ln *zlane[F], dim int, eb float64, emax, kmin, kmax i
 	invTransform(dcoef, dim)
 	inv := math.Ldexp(1, emax-tr.q)
 	blk := ln.blk
+	// Check the value the decoder will emit: it rounds to F before the
+	// caller compares, so a bound below one F ULP must see that rounding.
 	for i := 0; i < size; i++ {
-		if math.Abs(float64(dcoef[i])*inv-float64(blk[i])) > eb {
+		if math.Abs(float64(F(float64(dcoef[i])*inv))-float64(blk[i])) > eb {
 			return false
 		}
 	}

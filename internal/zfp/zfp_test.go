@@ -364,27 +364,40 @@ func TestPlaneCodingRoundTrip(t *testing.T) {
 	}
 }
 
-func TestQuickToleranceInvariant(t *testing.T) {
-	f := func(seed int64, tolExp uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := rng.Intn(1500) + 1
-		data := make([]float32, n)
-		for i := range data {
-			data[i] = float32(rng.NormFloat64() * math.Pow(10, float64(rng.Intn(7)-3)))
-		}
-		eb := math.Pow(10, -float64(tolExp%6))
-		comp, err := Compress(data, []int{n}, eb)
-		if err != nil {
-			return false
-		}
-		out, _, err := Decompress(comp)
-		if err != nil || len(out) != n {
-			return false
-		}
-		return maxAbsErr(data, out) <= eb
+// toleranceCase compresses a seeded random 1D field at eb = 10^-(tolExp%6)
+// and reports whether every decoded value is within the bound.
+func toleranceCase(seed int64, tolExp uint8) bool {
+	rng := rand.New(rand.NewSource(seed))
+	n := rng.Intn(1500) + 1
+	data := make([]float32, n)
+	for i := range data {
+		data[i] = float32(rng.NormFloat64() * math.Pow(10, float64(rng.Intn(7)-3)))
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+	eb := math.Pow(10, -float64(tolExp%6))
+	comp, err := Compress(data, []int{n}, eb)
+	if err != nil {
+		return false
+	}
+	out, _, err := Decompress(comp)
+	if err != nil || len(out) != n {
+		return false
+	}
+	return maxAbsErr(data, out) <= eb
+}
+
+func TestQuickToleranceInvariant(t *testing.T) {
+	if err := quick.Check(toleranceCase, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestToleranceBelowFloat32ULP pins a bound tighter than one float32 ULP of
+// the data: at eb = 1e-4 a value near -1417.45 (ULP 1.22e-4) must not be
+// accepted on its float64 reconstruction when the decoder rounds it to
+// float32 past the bound.
+func TestToleranceBelowFloat32ULP(t *testing.T) {
+	if !toleranceCase(-1713125633553074568, 0x3a) {
+		t.Fatal("decoded field exceeds the 1e-4 bound")
 	}
 }
 

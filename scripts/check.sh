@@ -13,6 +13,9 @@ if [ -n "$fmt" ]; then
 fi
 go vet ./...
 go test -race ./...
+# lcbench is its own module (it replaces lcpio with ../), so the root
+# ./... patterns above skip it: vet and test it from its own directory.
+(cd lcbench && go vet ./... && go test ./...)
 # Fuzz seed-corpus replay: every Fuzz target re-runs its seeds, which
 # include pinned golden streams of all surviving format versions, so codec
 # format changes are exercised against old streams on every gate run
