@@ -10,7 +10,9 @@ import (
 	"lcpio/internal/cluster"
 	"lcpio/internal/container"
 	"lcpio/internal/core"
+	"lcpio/internal/dvfs"
 	"lcpio/internal/fpdata"
+	"lcpio/internal/machine"
 	"lcpio/internal/perf"
 	"lcpio/internal/tables"
 )
@@ -392,11 +394,17 @@ func cmdCores(args []string) error {
 	codec := fs.String("codec", "sz", "codec")
 	gb := fs.Int64("gb", 64, "data volume (GiB)")
 	maxCores := fs.Int("max", 8, "worker counts to evaluate")
-	seed := fs.Int64("seed", 1, "seed")
+	fs.Int64("seed", 1, "seed (unused: the pricing is noise-free)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	samples, err := core.EnergyVsCores(core.Config{Seed: *seed}, *chip, *codec, *gb<<30, *maxCores)
+	c, err := dvfs.ChipByName(*chip)
+	if err != nil {
+		return err
+	}
+	// The paper's reference workload (rel 1e-3, ratio 9) at the Eqn 3
+	// compression clock, across worker counts.
+	samples, err := advisor.WorkerEnergies(*chip, *codec, *gb<<30, 1e-3, 9, machine.PaperClocks(c).CPU, *maxCores)
 	if err != nil {
 		return err
 	}

@@ -15,7 +15,6 @@ import (
 	"lcpio/internal/dvfs"
 	"lcpio/internal/fpdata"
 	"lcpio/internal/machine"
-	"lcpio/internal/nfs"
 	"lcpio/internal/phases"
 	"lcpio/internal/tables"
 )
@@ -44,14 +43,13 @@ func main() {
 	}
 
 	stateBytes := *stateGB << 30
-	cw, err := machine.CompressionWorkloadWithRatio("sz", stateBytes, 1e-3, res.Ratio(), chip)
+	dump := machine.Dump{Codec: "sz", RelEB: 1e-3, Ratio: res.Ratio(), RawBytes: stateBytes}
+	legs, err := dump.Legs(chip)
 	if err != nil {
 		log.Fatal(err)
 	}
-	tr := nfs.DefaultMount().Write(int64(float64(stateBytes) / res.Ratio()))
-	tw := machine.TransitWorkload(tr, chip)
 
-	plan := phases.CheckpointCampaign(*checkpoints, *computeSec, cw, tw)
+	plan := phases.Campaign(*checkpoints, *computeSec, "checkpoint", legs, machine.Clocks{})
 	cmp, err := phases.Compare(plan, phases.PaperRule(), node)
 	if err != nil {
 		log.Fatal(err)

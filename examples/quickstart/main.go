@@ -8,11 +8,9 @@ import (
 	"log"
 
 	"lcpio/internal/compress"
-	"lcpio/internal/core"
 	"lcpio/internal/dvfs"
 	"lcpio/internal/fpdata"
 	"lcpio/internal/machine"
-	"lcpio/internal/nfs"
 )
 
 func main() {
@@ -52,17 +50,17 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cw, err := machine.CompressionWorkloadWithRatio("sz", totalBytes, 1e-3, res.Ratio(), chip)
+	// The dump cost model prices the compress and write legs at a clock
+	// pair: base clock for both, then Eqn 3's tuned clocks.
+	dump := machine.Dump{Codec: "sz", RelEB: 1e-3, Ratio: res.Ratio(), RawBytes: totalBytes}
+	_, base, err := node.PriceDump(dump, machine.ClocksAt(chip, 1, 1))
 	if err != nil {
 		log.Fatal(err)
 	}
-	tr := nfs.DefaultMount().Write(int64(totalBytes / res.Ratio()))
-	tw := machine.TransitWorkload(tr, chip)
-
-	rec := core.PaperRecommendation()
-	base := node.RunClean(cw, chip.BaseGHz).Joules + node.RunClean(tw, chip.BaseGHz).Joules
-	tuned := node.RunClean(cw, rec.CompressionFraction*chip.BaseGHz).Joules +
-		node.RunClean(tw, rec.WritingFraction*chip.BaseGHz).Joules
+	_, tuned, err := node.PriceDump(dump, machine.PaperClocks(chip))
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Printf("\n64 GB compress+write on %s:\n", chip.Model)
 	fmt.Printf("  base clock (%.1f GHz): %8.1f kJ\n", chip.BaseGHz, base/1e3)

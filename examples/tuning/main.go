@@ -70,6 +70,6 @@ func main() {
 	fmt.Printf("\nenergy-optimal: %.3f GHz (%.1f%% of base)\n",
 		frac*chip.BaseGHz, frac*100)
 	fmt.Printf("  %v\n", opt)
-	fmt.Printf("paper's rule (0.875 f_max = %.3f GHz):\n", 0.875*chip.BaseGHz)
+	fmt.Printf("paper's rule (%.3g f_max = %.3f GHz):\n", paper.Fraction, paper.Fraction*chip.BaseGHz)
 	fmt.Printf("  %v\n", paper)
 }

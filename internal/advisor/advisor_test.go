@@ -7,7 +7,9 @@ import (
 	"time"
 
 	"lcpio/internal/compress"
+	"lcpio/internal/dvfs"
 	"lcpio/internal/fpdata"
+	"lcpio/internal/machine"
 	"lcpio/internal/netsim"
 )
 
@@ -441,5 +443,35 @@ func TestWorkerEnergies(t *testing.T) {
 	}
 	if pts[1].Joules >= pts[0].Joules {
 		t.Fatal("2 cores should amortize static power below 1 core")
+	}
+}
+
+// TestWorkerEnergiesAtPaperClock is the multi-core study behind `lcpio
+// cores`: the paper's reference workload at the Eqn 3 compression clock.
+// Runtime strictly decreases with cores; energy decreases initially (static
+// amortization); unknown chips and codecs are rejected.
+func TestWorkerEnergiesAtPaperClock(t *testing.T) {
+	f := machine.PaperClocks(dvfs.Skylake()).CPU
+	samples, err := WorkerEnergies("Skylake", "sz", 8<<30, 1e-3, 9, f, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(samples) != 8 {
+		t.Fatalf("sample count %d", len(samples))
+	}
+	for i := 1; i < len(samples); i++ {
+		if samples[i].Seconds >= samples[i-1].Seconds {
+			t.Errorf("cores=%d not faster than %d", samples[i].Cores, samples[i-1].Cores)
+		}
+	}
+	if samples[3].Joules >= samples[0].Joules {
+		t.Errorf("4 cores should save energy over 1: %.0f vs %.0f",
+			samples[3].Joules, samples[0].Joules)
+	}
+	if _, err := WorkerEnergies("EPYC", "sz", 1<<30, 1e-3, 9, f, 4); err == nil {
+		t.Fatal("unknown chip accepted")
+	}
+	if _, err := WorkerEnergies("Skylake", "lz4", 1<<30, 1e-3, 9, f, 4); err == nil {
+		t.Fatal("unknown codec accepted")
 	}
 }

@@ -2,70 +2,26 @@ package advisor
 
 import (
 	"fmt"
-	"math"
 
 	"lcpio/internal/machine"
 	"lcpio/internal/phases"
 )
 
 // Campaign materializes a decision as an executable phases.Plan: n
-// iterations of (compute, compress, write) with the decision's worker count
-// and frequency pair pinned on the phases. The write leg carries the
-// payload plus any parity premium; a delta decision compresses only the
-// churned fraction (the hash pass is folded into the compress leg's
-// workload so the three-phase shape holds). Executing the plan attributes
-// exact joules to obs spans, which is how campaign energy reconciles
-// against the decision's model.
+// iterations of compute followed by the decision's dump legs (dedup,
+// compress, verify, write, parity-write — whichever its axes enable), with
+// the decision's worker count and frequency pair pinned on the phases.
+// Executing the plan attributes exact joules to obs spans, which is how
+// campaign energy reconciles against the decision's CompressJoules +
+// WriteJoules.
 func (c *Controller) Campaign(dec Decision, n int, computeSec float64) (phases.Plan, error) {
 	if dec.raw <= 0 {
 		return phases.Plan{}, fmt.Errorf("advisor: decision was not produced by Decide")
 	}
-	req := dec.req
-	ranks := req.Ranks
-	if ranks < 1 {
-		ranks = 1
-	}
-	compBytes := dec.raw
-	if dec.Delta {
-		compBytes = int64(math.Ceil(float64(dec.raw) * req.ChurnRate))
-		if compBytes < 1 {
-			compBytes = 1
-		}
-	}
-	ratio := dec.Predicted.Ratio
-	payload := int64(math.Ceil(float64(compBytes) / ratio))
-	if payload < 1 {
-		payload = 1
-	}
-	if dec.ParityRanks > 0 {
-		// The parity premium rides the same write path at the same clock;
-		// folding it into the write bytes keeps the campaign three-phase.
-		payload += int64(math.Ceil(float64(payload) * float64(dec.ParityRanks) / float64(ranks)))
-	}
-
-	compW, err := machine.CompressionWorkloadWithRatio(dec.Codec, compBytes, dec.RelEB, ratio, c.chip)
+	ax := axes{delta: dec.Delta, wire: dec.WireCompress, parity: dec.ParityRanks}
+	legs, err := c.dump(dec.Codec, dec.RelEB, dec.Predicted.Ratio, dec.raw, ax, dec.req, dec.Workers).Legs(c.chip)
 	if err != nil {
 		return phases.Plan{}, err
 	}
-	compW = compW.WithCores(dec.Workers)
-	if dec.Delta {
-		hashW, err := machine.DedupWorkload(dec.raw, c.chip)
-		if err != nil {
-			return phases.Plan{}, err
-		}
-		compW.CPUCycles += hashW.CPUCycles
-		compW.StallSeconds += hashW.StallSeconds
-		compW.MemBytes += hashW.MemBytes
-	}
-	var writeW machine.Workload
-	if req.WireLink != nil {
-		shipBytes := payload
-		if !dec.WireCompress {
-			shipBytes = compBytes
-		}
-		writeW = machine.LinkTransitWorkload(shipBytes, *req.WireLink, c.chip)
-	} else {
-		writeW = machine.TransitWorkload(c.cfg.Mount.Write(payload), c.chip)
-	}
-	return phases.AdvisorCampaign(n, computeSec, compW, writeW, dec.CompressGHz, dec.WriteGHz), nil
+	return phases.Campaign(n, computeSec, "advisor", legs, machine.Clocks{CPU: dec.CompressGHz, IO: dec.WriteGHz}), nil
 }

@@ -425,8 +425,8 @@ func Dump(cfg Config) (Result, error) {
 	payloadFrac := 1.0 // delta payload / full payload
 	parityFrac := 0.0  // parity / shipped payload
 	var dedupRatio float64
-	var dedupSample machine.Sample
-	if cfg.CkptFields > 0 && cfg.CkptRanksPerNode > 0 {
+	layout := cfg.CkptFields > 0 && cfg.CkptRanksPerNode > 0
+	if layout {
 		sampled := cfg.CkptFields*cfg.CkptRanksPerNode <= maxSampledCkptChunks
 		switch {
 		case sampled && cfg.CkptChurnRate > 0:
@@ -459,58 +459,61 @@ func Dump(cfg Config) (Result, error) {
 			// field's max chunk — approximately m/ranks of the payload.
 			parityFrac = float64(cfg.CkptParityRanks) / float64(cfg.CkptRanksPerNode)
 		}
-		if cfg.CkptChurnRate > 0 {
-			// Every node hashes its full raw state to find the churn,
-			// regardless of how little it ends up writing.
-			dw, err := machine.DedupWorkload(cfg.PerNodeBytes, chip)
-			if err != nil {
-				return Result{}, err
-			}
-			dedupSample = node.RunClean(dw, cfg.CompressionFraction*chip.BaseGHz)
-		}
 	}
 
-	compressedBytes := cfg.PerNodeBytes
-	var compSample machine.Sample
-	if cfg.Ratio > 1 {
-		compressedBytes = int64(float64(cfg.PerNodeBytes) / cfg.Ratio)
-		// An incremental dump only compresses the raw bytes it stores —
-		// the deduped share never reaches the codec.
-		rawToCompress := cfg.PerNodeBytes
-		if cfg.CkptChurnRate > 0 {
-			rawToCompress = int64((1 - dedupRatio) * float64(cfg.PerNodeBytes))
-		}
-		cw, err := machine.CompressionWorkloadWithRatio(
-			cfg.Codec, rawToCompress, cfg.RelEB, cfg.Ratio, chip)
-		if err != nil {
-			return Result{}, err
-		}
-		compSample = node.RunClean(cw, cfg.CompressionFraction*chip.BaseGHz)
+	// The node's dump for the cost model. An incremental dump hashes its
+	// full raw state to find the churn, however little it ends up writing,
+	// and only the raw bytes it stores reach the codec. In-transit wire
+	// compression of a raw dump runs the wire codec over what would have
+	// shipped raw, at the compression clock.
+	delta := layout && cfg.CkptChurnRate > 0
+	d := machine.Dump{
+		RawBytes: cfg.PerNodeBytes, Hash: delta,
+		FramingBytes: overhead, ParityShare: parityFrac, Mount: mount,
 	}
-	compressedBytes = int64(payloadFrac * float64(compressedBytes))
-
-	// In-transit wire compression for raw dumps: the payload shrinks on
-	// the wire only, and the node pays the wire codec at the compression
-	// clock instead of a storage codec.
+	switch {
+	case cfg.WireCodec != "":
+		d.Codec, d.RelEB, d.Ratio = cfg.WireCodec, cfg.WireRelEB, cfg.WireRatio
+		if delta {
+			d.CodecBytes = int64(payloadFrac * float64(cfg.PerNodeBytes))
+		}
+	case cfg.Ratio > 1:
+		d.Codec, d.RelEB, d.Ratio = cfg.Codec, cfg.RelEB, cfg.Ratio
+		if delta {
+			d.Churn = 1 - dedupRatio
+		}
+	}
+	if delta && cfg.WireCodec == "" {
+		// The delta payload is the measured share of the full dump's.
+		full := d
+		full.Churn = 0
+		d.PayloadBytes = int64(payloadFrac * float64(full.Sizes().Payload))
+	}
+	legs, err := d.Legs(chip)
+	if err != nil {
+		return Result{}, err
+	}
+	clocks := machine.ClocksAt(chip, cfg.CompressionFraction, cfg.WritingFraction)
+	var compSec, dedupSec, transSec, nodeJoules float64
+	for _, l := range legs {
+		s := node.Price(l, clocks)
+		switch {
+		case l.Name == "dedup":
+			dedupSec = s.Seconds
+		case l.Class == machine.CPU:
+			compSec = s.Seconds
+		default:
+			transSec += s.Seconds
+		}
+		nodeJoules += s.Joules
+	}
+	sizes := d.Sizes()
 	var wireBE float64
 	if cfg.WireCodec != "" {
-		rawWire := compressedBytes
-		compressedBytes = int64(float64(rawWire) / cfg.WireRatio)
-		cw, err := machine.CompressionWorkloadWithRatio(
-			cfg.WireCodec, rawWire, cfg.WireRelEB, cfg.WireRatio, chip)
-		if err != nil {
-			return Result{}, err
-		}
-		compSample = node.RunClean(cw, cfg.CompressionFraction*chip.BaseGHz)
-		wireBE = transit.BreakEvenBps(link, rawWire, compressedBytes, compSample.Seconds)
+		wireBE = transit.BreakEvenBps(link, sizes.Codec, sizes.Payload, compSec)
 	}
-	parityBytes := int64(parityFrac * float64(compressedBytes))
-	tr := mount.Write(compressedBytes + overhead + parityBytes)
-	tw := machine.TransitWorkload(tr, chip)
-	transSample := node.RunClean(tw, cfg.WritingFraction*chip.BaseGHz)
 
-	nodeSeconds := compSample.Seconds + dedupSample.Seconds + transSample.Seconds
-	nodeJoules := compSample.Joules + dedupSample.Joules + transSample.Joules
+	nodeSeconds := compSec + dedupSec + transSec
 	eff := 0.0
 	if nodeSeconds > 0 {
 		eff = float64(cfg.PerNodeBytes) * 8 / nodeSeconds
@@ -518,9 +521,9 @@ func Dump(cfg Config) (Result, error) {
 	return Result{
 		Nodes:               cfg.Nodes,
 		PerNodeBytes:        cfg.PerNodeBytes,
-		CompressedBytes:     compressedBytes,
+		CompressedBytes:     sizes.Payload,
 		CkptOverheadBytes:   overhead,
-		CkptParityBytes:     parityBytes,
+		CkptParityBytes:     sizes.Parity,
 		CkptMeasured:        measured,
 		CkptDedupRatio:      dedupRatio,
 		Advised:             cfg.Advise,
@@ -532,9 +535,9 @@ func Dump(cfg Config) (Result, error) {
 		WireCompressed:      cfg.WireCodec != "",
 		WireBreakEvenBps:    wireBE,
 		EffectiveBps:        eff,
-		NodeCompressSeconds: compSample.Seconds,
-		NodeDedupSeconds:    dedupSample.Seconds,
-		NodeTransitSeconds:  transSample.Seconds,
+		NodeCompressSeconds: compSec,
+		NodeDedupSeconds:    dedupSec,
+		NodeTransitSeconds:  transSec,
 		NodeJoules:          nodeJoules,
 		WallSeconds:         nodeSeconds,
 		TotalJoules:         nodeJoules * float64(cfg.Nodes),

@@ -34,7 +34,7 @@ func EnergyModel(chip *dvfs.Chip) obs.EnergyModel {
 		if !ok {
 			return 0
 		}
-		return node.RunClean(w, chip.BaseGHz).Joules
+		return node.runClean(w, chip.BaseGHz).Joules
 	}
 }
 
@@ -44,16 +44,18 @@ func workloadForClass(class string, bytes int64, mount nfs.Mount, chip *dvfs.Chi
 	if bytes < 0 {
 		return Workload{}, false
 	}
-	const typicalRelEB, typicalRatio = 1e-3, 8
+	// Codec and dedup classes are the same-named legs of a typical dump.
+	typical := func(codec, leg string) (Workload, bool) {
+		l, err := Dump{Codec: codec, RelEB: 1e-3, Ratio: 8, RawBytes: bytes}.Leg(leg, chip)
+		return l.Work, err == nil
+	}
 	switch class {
 	case "sz.compress", "zfp.compress", "squant.compress":
-		codec := class[:len(class)-len(".compress")]
-		w, err := CompressionWorkloadWithRatio(codec, bytes, typicalRelEB, typicalRatio, chip)
-		return w, err == nil
+		return typical(class[:len(class)-len(".compress")], "compress")
 	case "sz.decompress", "zfp.decompress", "squant.decompress":
-		codec := class[:len(class)-len(".decompress")]
-		w, err := DecompressionWorkload(codec, bytes, typicalRelEB, typicalRatio, chip)
-		return w, err == nil
+		return typical(class[:len(class)-len(".decompress")], "decompress")
+	case "dedup.split":
+		return typical("", "dedup")
 	case "nfs.write", "nfs.read":
 		// Reconstruct the transfer shape from the default mount geometry:
 		// ceil(bytes/wsize) RPCs, wire time at link bandwidth. The nfs sim
@@ -76,9 +78,6 @@ func workloadForClass(class string, bytes int64, mount nfs.Mount, chip *dvfs.Chi
 			RPCs:           rpcs,
 			NetworkSeconds: netSec,
 		}, chip), true
-	case "dedup.split":
-		w, err := DedupWorkload(bytes, chip)
-		return w, err == nil
 	case "ec.encode", "ec.reconstruct":
 		b := float64(bytes)
 		return Workload{

@@ -16,7 +16,10 @@ func campaign(t *testing.T, chip *dvfs.Chip) Plan {
 		t.Fatal(err)
 	}
 	tw := machine.TransitWorkload(nfs.DefaultMount().Write(1<<30), chip)
-	return CheckpointCampaign(6, 300, cw, tw)
+	return Campaign(6, 300, "checkpoint", []machine.Leg{
+		{Name: "compress", Class: machine.CPU, Work: cw},
+		{Name: "write", Class: machine.IO, Work: tw},
+	}, machine.Clocks{})
 }
 
 func TestExecuteBaseClock(t *testing.T) {
@@ -165,7 +168,12 @@ func TestCheckpointRestartCampaign(t *testing.T) {
 	}
 	wt := machine.TransitWorkload(nfs.DefaultMount().Write(1<<30), chip)
 	rt := machine.TransitWorkload(nfs.DefaultMount().Read(1<<30), chip)
-	pl := CheckpointRestartCampaign(4, 300, cw, wt, rt, dw)
+	pl := Campaign(4, 300, "checkpoint", []machine.Leg{
+		{Name: "compress", Class: machine.CPU, Work: cw},
+		{Name: "write", Class: machine.IO, Work: wt},
+		{Name: "read", Class: machine.IO, Work: rt},
+		{Name: "decompress", Class: machine.CPU, Work: dw},
+	}, machine.Clocks{})
 	if len(pl.Phases) != 5 {
 		t.Fatalf("got %d phases", len(pl.Phases))
 	}
@@ -179,7 +187,10 @@ func TestCheckpointRestartCampaign(t *testing.T) {
 		}
 	}
 	node := machine.NewNode(chip, 1)
-	ckptOnly := CheckpointCampaign(4, 300, cw, wt)
+	ckptOnly := Campaign(4, 300, "checkpoint", []machine.Leg{
+		{Name: "compress", Class: machine.CPU, Work: cw},
+		{Name: "write", Class: machine.IO, Work: wt},
+	}, machine.Clocks{})
 	full, err := pl.Execute(node)
 	if err != nil {
 		t.Fatal(err)

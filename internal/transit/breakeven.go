@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"lcpio/internal/machine"
 	"lcpio/internal/netsim"
 )
 
@@ -190,9 +189,7 @@ func (c *Channel) energyBreakEven(e Economics) float64 {
 	// saved(B) > 0 where compression spends less energy than raw.
 	saved := func(bps float64) float64 {
 		link := c.cfg.Link.WithBandwidth(bps)
-		rawJ := c.node.RunClean(machine.LinkTransitWorkload(e.RawBytes, link, c.cfg.Chip), c.fIO).Joules
-		compJ := c.node.RunClean(machine.LinkTransitWorkload(e.CompressedBytes, link, c.cfg.Chip), c.fIO).Joules
-		return rawJ - (computeJ + compJ)
+		return c.shipJoules(e.RawBytes, link) - (computeJ + c.shipJoules(e.CompressedBytes, link))
 	}
 	if saved(loBps) <= 0 {
 		return 0

@@ -303,7 +303,10 @@ type (
 
 // CheckpointCampaign builds an n-iteration (compute, compress, write) plan.
 func CheckpointCampaign(n int, computeSec float64, compress, write machine.Workload) Plan {
-	return phases.CheckpointCampaign(n, computeSec, compress, write)
+	return phases.Campaign(n, computeSec, "checkpoint", []machine.Leg{
+		{Name: "compress", Class: machine.CPU, Work: compress},
+		{Name: "write", Class: machine.IO, Work: write},
+	}, machine.Clocks{})
 }
 
 // Workload is abstract chip-specific work consumed by the node model.
