@@ -45,7 +45,6 @@ func (c *Controller) ExhaustiveSweep(data []float32, dims []int, req Request) (*
 	if raw <= 0 {
 		return nil, fmt.Errorf("advisor: sweep over empty field")
 	}
-	combos := axesCombos(req)
 	sw := &Sweep{Best: -1}
 	for _, codecName := range c.cfg.Codecs {
 		codec, err := compress.Lookup(codecName)
@@ -69,21 +68,9 @@ func (c *Controller) ExhaustiveSweep(data []float32, dims []int, req Request) (*
 				sw.Entries = append(sw.Entries, e)
 				continue
 			}
-			var best pricedConfig
-			found := false
-			var lastErr error
-			for _, ax := range combos {
-				pc, err := c.price(codecName, rel, ratio, raw, ax, req, c.cfg.Workers, c.freqs, c.freqs)
-				if err != nil {
-					lastErr = err
-					continue
-				}
-				if !found || pc.total() < best.total() {
-					best, found = pc, true
-				}
-			}
-			if !found {
-				e.Reason = lastErr.Error()
+			best, err := c.bestAxes(codecName, rel, ratio, raw, req)
+			if err != nil {
+				e.Reason = err.Error()
 				sw.Entries = append(sw.Entries, e)
 				continue
 			}
