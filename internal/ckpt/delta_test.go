@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"lcpio/internal/dedup"
@@ -130,30 +131,93 @@ func TestDeltaRoundTrip(t *testing.T) {
 }
 
 // TestDeltaDeterministicAcrossWorkers: the emitted bytes and dedup ratio
-// must not depend on worker count (satellite requirement).
+// must not depend on worker count, with or without the parity layer (the
+// parity fold runs in the shared in-order drain).
 func TestDeltaDeterministicAcrossWorkers(t *testing.T) {
 	full := deltaSet("full", 3, 48, 64)
 	baseMed := NewMemMedium()
 	mustWrite(t, baseMed, full, WriteOptions{Workers: 2})
 	next := churn(full, "delta-1", 0.15)
 
-	var golden []byte
-	var goldenRatio float64
-	for _, workers := range []int{1, 2, 4, 8} {
-		base := mustOpenBase(t, baseMed, nil, deltaParams)
-		med := NewMemMedium()
-		res := mustWrite(t, med, next, WriteOptions{Workers: workers, QueueDepth: workers + 3, Base: base})
-		if golden == nil {
-			golden = append([]byte(nil), med.Bytes()...)
-			goldenRatio = res.DedupRatio()
-			continue
+	for _, parity := range []int{0, 1} {
+		var golden []byte
+		var goldenRatio float64
+		for _, workers := range []int{1, 2, 4, 8} {
+			base := mustOpenBase(t, baseMed, nil, deltaParams)
+			med := NewMemMedium()
+			res := mustWrite(t, med, next, WriteOptions{
+				Workers: workers, QueueDepth: workers + 3, ParityRanks: parity, Base: base,
+			})
+			if res.ParityRanks != parity || (parity > 0) != (res.ParityBytes > 0) {
+				t.Fatalf("parity=%d: wrote %d parity ranks, %d parity bytes", parity, res.ParityRanks, res.ParityBytes)
+			}
+			if golden == nil {
+				golden = append([]byte(nil), med.Bytes()...)
+				goldenRatio = res.DedupRatio()
+				continue
+			}
+			if !bytes.Equal(golden, med.Bytes()) {
+				t.Fatalf("parity=%d: delta bytes differ between Workers=1 and Workers=%d", parity, workers)
+			}
+			if res.DedupRatio() != goldenRatio {
+				t.Fatalf("parity=%d: dedup ratio differs at Workers=%d: %v vs %v",
+					parity, workers, res.DedupRatio(), goldenRatio)
+			}
 		}
-		if !bytes.Equal(golden, med.Bytes()) {
-			t.Fatalf("delta bytes differ between Workers=1 and Workers=%d", workers)
-		}
-		if res.DedupRatio() != goldenRatio {
-			t.Fatalf("dedup ratio differs at Workers=%d: %v vs %v", workers, res.DedupRatio(), goldenRatio)
-		}
+	}
+}
+
+// TestDeltaWriteFaultDeterminism drives the delta writer through
+// writeChunk's retry path: on a faulty medium with a fixed seed it retries
+// the same number of times and writes the same bytes every run, and the
+// set restores within bound.
+func TestDeltaWriteFaultDeterminism(t *testing.T) {
+	full := deltaSet("full", 3, 48, 64)
+	baseMed := NewMemMedium()
+	mustWrite(t, baseMed, full, WriteOptions{Workers: 2})
+	next := churn(full, "delta-1", 0.15)
+	run := func(seed int64) (*MemMedium, int64) {
+		inner := NewMemMedium()
+		med := NewFaultyMedium(inner, seed, FaultProfile{WriteErrProb: 0.3, ShortWriteProb: 0.3})
+		res := mustWrite(t, med, next, WriteOptions{
+			Workers: 2, ParityRanks: 1, Retry: RetryPolicy{MaxAttempts: 8},
+			Base: mustOpenBase(t, baseMed, nil, deltaParams),
+		})
+		return inner, res.Retries
+	}
+	medA, a := run(11)
+	medB, b := run(11)
+	if a == 0 {
+		t.Fatal("fault profile injected no retries")
+	}
+	if a != b {
+		t.Fatalf("same seed, different retry counts: %d vs %d", a, b)
+	}
+	if !bytes.Equal(medA.Bytes(), medB.Bytes()) {
+		t.Fatal("same seed, different delta bytes")
+	}
+	restored, err := Restore(medA, RestoreOptions{Workers: 2, Bases: []Medium{baseMed}})
+	if err != nil {
+		t.Fatalf("Restore: %v", err)
+	}
+	checkRestored(t, next, restored)
+}
+
+// TestDeltaRetryExhaustion: a delta write on a medium that always fails
+// gives up after MaxAttempts with the transient cause attached.
+func TestDeltaRetryExhaustion(t *testing.T) {
+	full := deltaSet("full", 2, 32, 48)
+	baseMed := NewMemMedium()
+	mustWrite(t, baseMed, full, WriteOptions{Workers: 2})
+	base := mustOpenBase(t, baseMed, nil, deltaParams)
+	med := NewFaultyMedium(NewMemMedium(), 1, FaultProfile{WriteErrProb: 1})
+	_, err := Write(med, churn(full, "delta-1", 0.15),
+		WriteOptions{Workers: 1, Retry: RetryPolicy{MaxAttempts: 3}, Base: base})
+	if err == nil || !errors.Is(err, ErrTransient) {
+		t.Fatalf("want ErrTransient exhaustion, got %v", err)
+	}
+	if !strings.Contains(err.Error(), "giving up after 3 attempts") {
+		t.Fatalf("error lacks attempt count: %v", err)
 	}
 }
 
@@ -262,6 +326,49 @@ func TestDeltaErrBase(t *testing.T) {
 	}
 	if rep.BaseErr != nil || rep.RefsOK != rep.RefChunks || rep.RefChunks == 0 {
 		t.Fatalf("VerifySet with chain: BaseErr=%v refs %d/%d", rep.BaseErr, rep.RefsOK, rep.RefChunks)
+	}
+}
+
+// TestDeltaExactRefsPickFieldMajorFirst: when the base holds the same
+// restored content in several streams, an exact reference points at the
+// first of them in field-major order — the order OpenBase indexes in — so
+// the delta bytes do not depend on how the base index is built.
+func TestDeltaExactRefsPickFieldMajorFirst(t *testing.T) {
+	full := deltaSet("full", 2, 48, 64)
+	// (rank 1, field 0) and (rank 0, field 1) hold the same payload under
+	// the same bound, so they restore to the same bytes. Field-major,
+	// (rank 1, field 0) comes first; rank-major, (rank 0, field 1) would.
+	full.Fields[0].ErrorBound = full.Fields[1].ErrorBound
+	full.Fields[0].Data[1] = append([]float32(nil), full.Fields[1].Data[0]...)
+	baseMed := NewMemMedium()
+	mustWrite(t, baseMed, full, WriteOptions{Workers: 2})
+	restored, err := Restore(baseMed, RestoreOptions{Workers: 2})
+	if err != nil {
+		t.Fatalf("Restore: %v", err)
+	}
+
+	// Dump the restored values again: every chunk matches its base exactly.
+	next := full
+	next.Name = "delta-exact"
+	next.Fields = make([]Field, len(full.Fields))
+	for fi, f := range full.Fields {
+		f.Data = restored.Fields[fi].Data
+		next.Fields[fi] = f
+	}
+	res := mustWrite(t, NewMemMedium(), next, WriteOptions{Workers: 2, Base: mustOpenBase(t, baseMed, nil, deltaParams)})
+	refs := 0
+	for _, e := range res.Manifest.Entries[0*len(next.Fields)+1] {
+		if e.Local() {
+			continue
+		}
+		refs++
+		if e.BaseRank != 1 || e.BaseField != 0 {
+			t.Fatalf("stream (rank 0, field 1) refers to base (rank %d, field %d), want (1, 0)",
+				e.BaseRank, e.BaseField)
+		}
+	}
+	if refs == 0 {
+		t.Fatal("stream (rank 0, field 1) has no base references")
 	}
 }
 
@@ -389,26 +496,55 @@ func TestDeltaParityReconstruction(t *testing.T) {
 	full := deltaSet("full", 4, 48, 64)
 	baseMed := NewMemMedium()
 	mustWrite(t, baseMed, full, WriteOptions{Workers: 2})
-	next := churn(full, "delta-p", 0.2)
-	base := mustOpenBase(t, baseMed, nil, deltaParams)
-	med := NewMemMedium()
-	res := mustWrite(t, med, next, WriteOptions{Workers: 2, Base: base, ParityRanks: 1})
-	if res.ParityBytes <= 0 {
-		t.Fatal("parity delta set has no parity bytes")
-	}
 
-	// Persistent corruption inside the first blob's stored bytes: re-reads
-	// cannot fix it, so restore must fall back to the parity stripe.
-	b := res.Manifest.Blobs[0]
-	med.Corrupt(b.Offset + b.Size/2)
+	// A second churned region per payload, disjoint from churn's, makes
+	// every stream own two blobs: its stripe member is their concatenation.
+	twoRuns := churn(full, "delta-p2", 0.1)
+	for _, f := range twoRuns.Fields {
+		for _, d := range f.Data {
+			for i := len(d) / 2; i < len(d)/2+len(d)/10; i++ {
+				d[i] += float32(10 * f.ErrorBound)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		next Set
+		// last rots the last blob (the second of its stream's member)
+		// instead of the first.
+		last bool
+	}{
+		{"one blob per stream", churn(full, "delta-p", 0.2), false},
+		{"two blobs per stream", twoRuns, true},
+	} {
+		base := mustOpenBase(t, baseMed, nil, deltaParams)
+		med := NewMemMedium()
+		res := mustWrite(t, med, tc.next, WriteOptions{Workers: 2, Base: base, ParityRanks: 1})
+		if res.ParityBytes <= 0 {
+			t.Fatalf("%s: parity delta set has no parity bytes", tc.name)
+		}
+		m := res.Manifest
+		i := 0
+		if tc.last {
+			i = len(m.Blobs) - 1
+			if m.Blobs[i-1].owner != m.Blobs[i].owner {
+				t.Fatalf("%s: damaged blob %d is not behind another blob of its stream", tc.name, i)
+			}
+		}
 
-	restored, err := Restore(med, RestoreOptions{Workers: 2, Bases: []Medium{baseMed},
-		Retry: RetryPolicy{MaxAttempts: 2}})
-	if err != nil {
-		t.Fatalf("Restore with damaged blob: %v", err)
+		// Persistent corruption inside the blob's stored bytes: re-reads
+		// cannot fix it, so restore must fall back to the parity stripe.
+		b := m.Blobs[i]
+		med.Corrupt(b.Offset + b.Size/2)
+
+		restored, err := Restore(med, RestoreOptions{Workers: 2, Bases: []Medium{baseMed},
+			Retry: RetryPolicy{MaxAttempts: 2}})
+		if err != nil {
+			t.Fatalf("%s: Restore with damaged blob: %v", tc.name, err)
+		}
+		if restored.Report.ChunksReconstructed != 1 {
+			t.Fatalf("%s: reconstructed %d blobs, want the damaged one", tc.name, restored.Report.ChunksReconstructed)
+		}
+		checkRestored(t, tc.next, restored)
 	}
-	if restored.Report.ChunksReconstructed == 0 {
-		t.Fatal("expected parity reconstruction of the damaged blob")
-	}
-	checkRestored(t, next, restored)
 }

@@ -16,9 +16,9 @@
 //	footer:  manifest offset, length, CRC32C, magic        (24 bytes)
 //
 // The writer overlaps parallel compression with draining completed chunks
-// to the simulated NFS writer (see write.go); because chunks are committed
-// in logical order, offsets — and therefore the manifest and the entire
-// file — are byte-identical at any worker count.
+// to the simulated NFS writer (see setwriter.go); because chunks are
+// committed in logical order, offsets — and therefore the manifest and the
+// entire file — are byte-identical at any worker count.
 package ckpt
 
 import (
@@ -304,9 +304,7 @@ func readString(rd *wire.Reader, maxLen int) (string, bool) {
 // encode serializes the manifest. A set with no parity encodes exactly as
 // format v1 — adding the erasure-coding layer changed no v1 byte.
 func (m *Manifest) encode() []byte {
-	var b []byte
-	b = wire.AppendUint32(b, magic)
-	b = wire.AppendUint32(b, m.formatVersion())
+	b := setHeader(m)
 	b = appendString(b, m.SetName)
 	b = appendString(b, m.Meta)
 	b = appendString(b, m.Codec)
@@ -484,21 +482,8 @@ func parseManifest(buf []byte, fileSize int64) (*Manifest, error) {
 				return nil, ErrCorrupt
 			}
 		}
-		// Stripe coherence: every parity shard of a field carries the
-		// stripe length — the largest data chunk of that field, to which
-		// shorter chunks are zero-padded during encode.
-		for fi := 0; fi < nFields; fi++ {
-			var shardLen int64
-			for r := 0; r < m.Ranks; r++ {
-				if s := m.Chunk(r, fi).Size; s > shardLen {
-					shardLen = s
-				}
-			}
-			for j := 0; j < m.ParityRanks; j++ {
-				if m.ParityChunk(fi, j).Size != shardLen {
-					return nil, ErrCorrupt
-				}
-			}
+		if err := m.checkStripes(); err != nil {
+			return nil, err
 		}
 	}
 	if rd.Remaining() != 0 {
@@ -652,35 +637,46 @@ func parseDelta(rd *wire.Reader, m *Manifest, payloadEnd int64) error {
 			return ErrCorrupt
 		}
 	}
-	// Stripe coherence: every parity shard of a field carries the stripe
-	// length — the longest local region (concatenated owned blobs) of any
-	// rank in that field.
-	regions := m.localRegionSizes()
-	for fi := 0; fi < nFields; fi++ {
-		var stripeLen int64
-		for r := 0; r < m.Ranks; r++ {
-			if s := regions[r*nFields+fi]; s > stripeLen {
-				stripeLen = s
-			}
-		}
-		for j := 0; j < m.ParityRanks; j++ {
-			if m.ParityChunk(fi, j).Size != stripeLen {
-				return ErrCorrupt
-			}
+	return m.checkStripes()
+}
+
+// checkStripes enforces stripe coherence: every parity shard of a field
+// carries the stripe length — the longest member (a stream's concatenated
+// owned extents, see extents) of any rank in that field, to which shorter
+// members are zero-padded during encode.
+func (m *Manifest) checkStripes() error {
+	nFields := len(m.Fields)
+	member := make([]int64, m.NumChunks())
+	stripeLen := make([]int64, nFields)
+	for _, c := range m.extents() {
+		s := c.Rank*nFields + c.Field
+		member[s] += c.Size
+		stripeLen[c.Field] = max(stripeLen[c.Field], member[s])
+	}
+	for _, c := range m.ParityChunks {
+		if c.Size != stripeLen[c.Field] {
+			return ErrCorrupt
 		}
 	}
 	return nil
 }
 
-// localRegionSizes returns, per rank-major (rank, field) stream, the total
-// compressed size of the blobs that stream owns — the stripe member the
-// parity layer protects.
-func (m *Manifest) localRegionSizes() []int64 {
-	regions := make([]int64, m.Ranks*len(m.Fields))
-	for i := range m.Blobs {
-		regions[m.Blobs[i].owner] += m.Blobs[i].Size
+// extents lists the set's stored payloads in file order as ChunkInfo with
+// Rank/Field naming the owning (rank, field) stream: a full set's chunks —
+// each stream owns exactly one — or a delta set's blobs, owned by the
+// stream that first cites them. A stream's owned extents, concatenated,
+// are its member of the field's parity stripe.
+func (m *Manifest) extents() []ChunkInfo {
+	if !m.IsDelta() {
+		return m.Chunks
 	}
-	return regions
+	nFields := len(m.Fields)
+	ext := make([]ChunkInfo, len(m.Blobs))
+	for i, b := range m.Blobs {
+		ext[i] = ChunkInfo{Rank: b.owner / nFields, Field: b.owner % nFields,
+			Offset: b.Offset, Size: b.Size, CRC: b.CRC}
+	}
+	return ext
 }
 
 // ReadManifest locates the footer on the medium, verifies the manifest's

@@ -103,7 +103,8 @@ func TestDeltaWritePipelineOccupancy(t *testing.T) {
 	set2 := testSet(2)
 	set2.Name = "ts2"
 	deltaMed := NewMemMedium()
-	mustWrite(t, deltaMed, set2, WriteOptions{Workers: 2, Base: base})
+	const workers = 2
+	mustWrite(t, deltaMed, set2, WriteOptions{Workers: workers, Base: base})
 	obs.Use(prev)
 
 	snap := r.Snapshot()
@@ -111,8 +112,8 @@ func TestDeltaWritePipelineOccupancy(t *testing.T) {
 	if !ok {
 		t.Fatal("ckpt.delta_write pipeline missing from snapshot")
 	}
-	if p.Workers != 2+1 {
-		t.Fatalf("pipeline workers = %d, want 3 (classifiers + drain)", p.Workers)
+	if p.Workers != workers+2 {
+		t.Fatalf("pipeline workers = %d, want %d (classifiers + drain + dispatcher)", p.Workers, workers+2)
 	}
 	n := int64(set2.Ranks * len(set2.Fields))
 	if got := p.Stages["classify_compress"].Items; got != n {
@@ -120,5 +121,8 @@ func TestDeltaWritePipelineOccupancy(t *testing.T) {
 	}
 	if got := p.Stages["drain"].Items; got != n {
 		t.Fatalf("drain items = %d, want %d streams", got, n)
+	}
+	if got := p.Stages["dispatch"].Items; got != n {
+		t.Fatalf("dispatch items = %d, want %d streams", got, n)
 	}
 }

@@ -276,7 +276,7 @@ func TestVerifyScansParityAndReportsReconstructability(t *testing.T) {
 	med := NewMemMedium()
 	res := mustWrite(t, med, set, WriteOptions{Workers: 2, ParityRanks: 2})
 
-	rep, err := Verify(med, true, 2)
+	rep, err := VerifySet(med, VerifyOptions{Deep: true, Workers: 2})
 	if err != nil {
 		t.Fatalf("Verify clean: %v", err)
 	}
@@ -290,7 +290,7 @@ func TestVerifyScansParityAndReportsReconstructability(t *testing.T) {
 	// One data chunk + one parity shard of field 0 lost: still within budget.
 	med.Corrupt(res.Manifest.Chunk(0, 0).Offset + 1)
 	med.Corrupt(res.Manifest.ParityChunk(0, 1).Offset + 1)
-	rep, err = Verify(med, false, 2)
+	rep, err = VerifySet(med, VerifyOptions{Deep: false, Workers: 2})
 	if err != nil {
 		t.Fatalf("Verify damaged: %v", err)
 	}
@@ -304,7 +304,7 @@ func TestVerifyScansParityAndReportsReconstructability(t *testing.T) {
 	// A third stripe member of field 0 gone: budget exceeded.
 	med.Corrupt(res.Manifest.Chunk(2, 0).Offset + 1)
 	med.Corrupt(res.Manifest.Chunk(3, 0).Offset + 1)
-	rep, err = Verify(med, false, 2)
+	rep, err = VerifySet(med, VerifyOptions{Deep: false, Workers: 2})
 	if err != nil {
 		t.Fatalf("Verify over budget: %v", err)
 	}
@@ -330,7 +330,7 @@ func TestParityV1SetsUnchanged(t *testing.T) {
 	if m.ParityRanks != 0 || len(m.ParityChunks) != 0 {
 		t.Fatalf("v1 manifest grew parity entries: %+v", m)
 	}
-	rep, err := Verify(med, false, 2)
+	rep, err := VerifySet(med, VerifyOptions{Deep: false, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

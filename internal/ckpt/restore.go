@@ -5,12 +5,12 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
 
 	"lcpio/internal/container"
 	"lcpio/internal/ec"
 	"lcpio/internal/nfs"
 	"lcpio/internal/obs"
+	"lcpio/internal/par"
 )
 
 // RestoreOptions tunes Restore.
@@ -167,6 +167,8 @@ func (r *Restored) Field(name string) *RestoredField {
 	return nil
 }
 
+// chunkOutcome is the read result for one stored extent: a full set's
+// chunk or a delta set's blob.
 type chunkOutcome struct {
 	data          []float32
 	raw           []byte // verified compressed bytes; kept only on parity sets
@@ -177,13 +179,17 @@ type chunkOutcome struct {
 	simSec        float64
 }
 
-// Restore reads a checkpoint set back: it decodes the manifest, fans chunks
-// across Workers parallel readers, verifies every chunk's CRC32C digest
-// before decompression, and re-reads only the chunks whose digests fail —
-// transient corruption costs one extra fetch of that chunk, nothing else.
-// Unrecoverable chunks fail the restore unless AllowPartial is set, in
-// which case the affected ranks return nil Data and the report lists every
-// failure and fully missing rank explicitly.
+// Restore reads a checkpoint set back: it decodes the manifest, fans the
+// stored chunks across Workers parallel readers, verifies every chunk's
+// CRC32C digest before decompression, and re-reads only the chunks whose
+// digests fail — transient corruption costs one extra fetch of that chunk,
+// nothing else. Chunks whose re-reads are exhausted are rebuilt from the
+// set's parity when it has any. Unrecoverable chunks fail the restore
+// unless AllowPartial is set, in which case the affected ranks return nil
+// Data and the report lists every failure and fully missing rank
+// explicitly. A delta set (format v3) restores its base chain first and
+// assembles every (rank, field) payload from its own blobs and
+// digest-checked base references.
 func Restore(med Medium, opts RestoreOptions) (*Restored, error) {
 	opts = opts.normalized()
 	span := obs.Start("ckpt.restore")
@@ -206,47 +212,37 @@ func Restore(med Medium, opts RestoreOptions) (*Restored, error) {
 		}
 		manifestRetries++
 	}
-	if m.IsDelta() {
-		return restoreDelta(med, m, manifestRetries, opts)
-	}
-	n := m.NumChunks()
 	nFields := len(m.Fields)
-	outcomes := make([]chunkOutcome, n)
-
-	// On parity sets every verified chunk keeps its compressed bytes so a
-	// reconstruction pass can use it as a stripe source without re-reading.
-	keepRaw := m.ParityRanks > 0
-	var wg sync.WaitGroup
-	next := make(chan int)
-	go func() {
-		defer close(next)
-		for i := 0; i < n; i++ {
-			next <- i
-		}
-	}()
-	for w := 0; w < opts.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				outcomes[i] = restoreChunk(med, m, i, opts, keepRaw)
-			}
-		}()
-	}
-	wg.Wait()
-
 	out := &Restored{Manifest: m, Fields: make([]RestoredField, nFields)}
 	rep := &out.Report
 	// The manifest fetch itself rides the simulated read path.
 	rep.Retries = manifestRetries
 	rep.SimReadSeconds = float64(1+manifestRetries) *
 		opts.Mount.Read(int64(len(m.encode()))+footerLen).NetworkSeconds
+	if m.IsDelta() {
+		if out.Base, err = resolveBase(m, opts.Bases, opts); err != nil {
+			return nil, err
+		}
+		rep.Retries += out.Base.Report.Retries
+		rep.SimReadSeconds += out.Base.Report.SimReadSeconds
+	}
 
-	// Chunks that exhausted their re-reads fall back to the parity layer:
-	// any <= ParityRanks lost or corrupt data chunks per field stripe are
-	// rebuilt byte-identically before decode.
-	if keepRaw {
-		reconstructMissing(med, m, outcomes, opts, rep)
+	outcomes := readExtents(med, m, opts, rep)
+	n := m.NumChunks()
+	data := make([][]float32, n)
+	errs := make([]error, n)
+	if m.IsDelta() {
+		// Base references copy the base's restored values and are
+		// digest-checked byte-exactly — a mismatch means the base's content
+		// is not what the writer saw.
+		baseRaw := restoredRaw(out.Base)
+		par.Run(n, opts.Workers, func(s int) {
+			data[s], errs[s] = assembleStream(m, s, outcomes, out.Base, baseRaw[s])
+		})
+	} else {
+		for s := range outcomes {
+			data[s], errs[s] = outcomes[s].data, outcomes[s].err
+		}
 	}
 	for fi, f := range m.Fields {
 		out.Fields[fi] = RestoredField{
@@ -257,27 +253,15 @@ func Restore(med Medium, opts RestoreOptions) (*Restored, error) {
 		}
 	}
 	rankOK := make([]bool, m.Ranks)
-	for i := range outcomes {
-		o := &outcomes[i]
-		rank, field := i/nFields, i%nFields
-		rep.SimReadSeconds += o.simSec
-		rep.Retries += o.retries
-		if o.reread {
-			rep.ChunksReread++
-			obs.Add("lcpio_ckpt_chunks_reread_total", 1)
-		}
-		if o.err != nil {
-			rep.Failed = append(rep.Failed, ChunkError{Rank: rank, Field: field, Err: o.err})
+	for s := 0; s < n; s++ {
+		rank, field := s/nFields, s%nFields
+		if errs[s] != nil {
+			rep.Failed = append(rep.Failed, ChunkError{Rank: rank, Field: field, Err: errs[s]})
 			continue
 		}
 		rep.ChunksOK++
-		if o.reconstructed {
-			rep.ChunksReconstructed++
-			rep.ReconstructedRanks = append(rep.ReconstructedRanks, rank)
-			obs.Add("lcpio_ckpt_chunks_reconstructed_total", 1)
-		}
 		rankOK[rank] = true
-		out.Fields[field].Data[rank] = o.data
+		out.Fields[field].Data[rank] = data[s]
 	}
 	for r, ok := range rankOK {
 		if !ok {
@@ -286,23 +270,68 @@ func Restore(med Medium, opts RestoreOptions) (*Restored, error) {
 	}
 	rep.normalize()
 	if len(rep.Failed) > 0 && !opts.AllowPartial {
-		return nil, fmt.Errorf("ckpt: %d of %d chunks unrecoverable (first: %v)",
-			len(rep.Failed), n, rep.Failed[0])
+		first := rep.Failed[0]
+		return nil, fmt.Errorf("ckpt: %d of %d chunks unrecoverable (first: rank %d, field %d: %w)",
+			len(rep.Failed), n, first.Rank, first.Field, first.Err)
 	}
 	return out, nil
 }
 
-// reconstructMissing rebuilds data chunks whose re-reads were exhausted
-// from their field stripe's Reed–Solomon parity shards. Per field: if the
-// number of failed data chunks is within the erasure budget (ParityRanks),
-// the surviving chunks plus as many parity shards as needed are assembled
-// into a stripe — shorter chunks zero-padded to the stripe length, exactly
-// as the writer folded them — and the missing shards are recomputed. Each
-// rebuilt chunk must still match its manifest digest before it is decoded,
-// so a reconstruction can never silently substitute wrong bytes. Failures
-// here leave the chunk's original error in place and the restore degrades
-// to the usual partial report.
-func reconstructMissing(med Medium, m *Manifest, outcomes []chunkOutcome, opts RestoreOptions, rep *RestoreReport) {
+// readExtents fetches, verifies and decodes every stored extent across
+// opts.Workers, then rebuilds the ones whose re-reads were exhausted from
+// the set's parity. It accounts reads, re-reads and reconstructions in rep
+// and returns the outcomes in extent order.
+func readExtents(med Medium, m *Manifest, opts RestoreOptions, rep *RestoreReport) []chunkOutcome {
+	ext := m.extents()
+	// On parity sets every verified extent keeps its compressed bytes so a
+	// reconstruction pass can use it as a stripe source without re-reading.
+	keepRaw := m.ParityRanks > 0
+	outcomes := make([]chunkOutcome, len(ext))
+	par.Run(len(ext), opts.Workers, func(i int) {
+		o := readVerified(med, &ext[i], opts)
+		if o.err == nil {
+			o.data, o.err = m.decodeExtent(i, o.raw)
+		}
+		if !keepRaw || o.err != nil {
+			o.raw = nil
+		}
+		outcomes[i] = o
+	})
+	for i := range outcomes {
+		o := &outcomes[i]
+		rep.SimReadSeconds += o.simSec
+		rep.Retries += o.retries
+		if o.reread {
+			rep.ChunksReread++
+			obs.Add("lcpio_ckpt_chunks_reread_total", 1)
+		}
+	}
+	if keepRaw {
+		reconstruct(med, m, ext, outcomes, opts, rep)
+	}
+	for i := range outcomes {
+		if outcomes[i].reconstructed {
+			rep.ChunksReconstructed++
+			rep.ReconstructedRanks = append(rep.ReconstructedRanks, ext[i].Rank)
+			obs.Add("lcpio_ckpt_chunks_reconstructed_total", 1)
+		}
+	}
+	return outcomes
+}
+
+// reconstruct rebuilds extents whose re-reads were exhausted from their
+// field stripe's Reed–Solomon parity shards. The stripe member of (rank,
+// field) is the concatenation of the extents that stream owns — a full
+// set's one chunk, a delta set's owned blobs — zero-padded to the stripe
+// length, exactly as the writer folded it. Per field: if the ranks with
+// failed extents number within the erasure budget (ParityRanks), the
+// surviving members plus as many parity shards as needed are assembled and
+// the missing members recomputed. Each rebuilt extent must still match its
+// manifest digest before it is decoded, so a reconstruction can never
+// silently substitute wrong bytes. Failures here leave the extent's
+// original error in place and the restore degrades to the usual partial
+// report.
+func reconstruct(med Medium, m *Manifest, ext []ChunkInfo, outcomes []chunkOutcome, opts RestoreOptions, rep *RestoreReport) {
 	coder, err := ec.New(m.Ranks, m.ParityRanks)
 	if err != nil {
 		// Geometry outside coder limits is rejected at manifest parse; this
@@ -312,27 +341,40 @@ func reconstructMissing(med Medium, m *Manifest, outcomes []chunkOutcome, opts R
 	span := obs.Start("ckpt.reconstruct")
 	defer span.End()
 	nFields := len(m.Fields)
+	owned := make([][]int, m.NumChunks())
+	for i, c := range ext {
+		s := c.Rank*nFields + c.Field
+		owned[s] = append(owned[s], i)
+	}
 	for fi := 0; fi < nFields; fi++ {
-		var failed []int
+		var failed []int // ranks with at least one failed owned extent
+		lost := make([]bool, m.Ranks)
 		for r := 0; r < m.Ranks; r++ {
-			if outcomes[r*nFields+fi].err != nil {
-				failed = append(failed, r)
+			for _, i := range owned[r*nFields+fi] {
+				if outcomes[i].err != nil {
+					failed = append(failed, r)
+					lost[r] = true
+					break
+				}
 			}
 		}
 		if len(failed) == 0 || len(failed) > m.ParityRanks {
 			continue // nothing lost, or beyond the erasure budget
 		}
-		stripeLen := int(m.ParityChunk(fi, 0).Size)
+		stripeLen := m.ParityChunk(fi, 0).Size
 		shards := make([][]byte, m.Ranks+m.ParityRanks)
 		avail := 0
 		for r := 0; r < m.Ranks; r++ {
-			o := &outcomes[r*nFields+fi]
-			if o.err != nil {
+			if lost[r] {
 				continue
 			}
-			padded := make([]byte, stripeLen)
-			copy(padded, o.raw)
-			shards[r] = padded
+			member := make([]byte, stripeLen)
+			var off int64
+			for _, i := range owned[r*nFields+fi] {
+				copy(member[off:], outcomes[i].raw)
+				off += ext[i].Size
+			}
+			shards[r] = member
 			avail++
 		}
 		// Fetch just enough parity shards to reach k sources; a parity shard
@@ -358,17 +400,22 @@ func reconstructMissing(med Medium, m *Manifest, outcomes []chunkOutcome, opts R
 			continue
 		}
 		for _, r := range failed {
-			o := &outcomes[r*nFields+fi]
-			c := m.Chunk(r, fi)
-			blob := shards[r][:c.Size]
-			if Digest(blob) != c.CRC {
-				o.err = fmt.Errorf("%w: reconstructed chunk digest mismatch", ErrCorrupt)
-				continue
-			}
-			o.err = nil
-			decodeChunk(o, &m.Fields[fi], blob)
-			if o.err == nil {
-				o.reconstructed = true
+			var off int64
+			for _, i := range owned[r*nFields+fi] {
+				c := &ext[i]
+				blob := shards[r][off : off+c.Size]
+				off += c.Size
+				o := &outcomes[i]
+				if o.err == nil {
+					continue
+				}
+				if Digest(blob) != c.CRC {
+					o.err = fmt.Errorf("%w: reconstructed chunk digest mismatch", ErrCorrupt)
+					continue
+				}
+				if o.data, o.err = m.decodeExtent(i, blob); o.err == nil {
+					o.reconstructed = true
+				}
 			}
 		}
 	}
@@ -412,37 +459,26 @@ func readVerified(med Medium, c *ChunkInfo, opts RestoreOptions) chunkOutcome {
 	return o
 }
 
-// decodeChunk decompresses verified chunk bytes and checks the shape
-// against the manifest, updating o in place.
-func decodeChunk(o *chunkOutcome, f *FieldInfo, blob []byte) {
+// decodeExtent decompresses extent i's verified bytes and checks them
+// against the manifest: a full set's chunk must have its field's shape, a
+// delta set's blob the raw length its table records. A payload that passes
+// its digest but fails to decode will not change on re-read.
+func (m *Manifest) decodeExtent(i int, blob []byte) ([]float32, error) {
 	data, dims, err := container.Unpack(blob, container.Options{Parallelism: 1})
 	if err != nil {
-		// A payload that passes its digest but fails to decode will not
-		// change on re-read.
-		o.err = err
-		return
+		return nil, err
 	}
+	if m.IsDelta() {
+		if want := m.Blobs[i].RawLen / 4; len(data) != want {
+			return nil, fmt.Errorf("%w: blob decodes to %d elements, table says %d", ErrCorrupt, len(data), want)
+		}
+		return data, nil
+	}
+	f := &m.Fields[m.Chunks[i].Field]
 	if len(data) != f.Elems() || !dimsEqual(dims, f.Dims) {
-		o.err = fmt.Errorf("%w: chunk shape %v disagrees with manifest %v", ErrCorrupt, dims, f.Dims)
-		return
+		return nil, fmt.Errorf("%w: chunk shape %v disagrees with manifest %v", ErrCorrupt, dims, f.Dims)
 	}
-	o.data = data
-}
-
-// restoreChunk fetches, verifies, and decompresses one data chunk. keepRaw
-// retains the verified compressed bytes so a later reconstruction pass can
-// use the chunk as a stripe source without re-reading it.
-func restoreChunk(med Medium, m *Manifest, idx int, opts RestoreOptions, keepRaw bool) chunkOutcome {
-	c := &m.Chunks[idx]
-	o := readVerified(med, c, opts)
-	if o.err != nil {
-		return o
-	}
-	decodeChunk(&o, &m.Fields[c.Field], o.raw)
-	if !keepRaw || o.err != nil {
-		o.raw = nil
-	}
-	return o
+	return data, nil
 }
 
 func dimsEqual(a, b []int) bool {
@@ -457,7 +493,7 @@ func dimsEqual(a, b []int) bool {
 	return true
 }
 
-// VerifyReport summarizes a Verify pass.
+// VerifyReport summarizes a VerifySet pass.
 type VerifyReport struct {
 	Chunks   int
 	ChunksOK int
@@ -497,20 +533,13 @@ type VerifyOptions struct {
 	Bases []Medium
 }
 
-// Verify checks a checkpoint set without materializing it: manifest digest
-// and structure always, then every chunk's CRC32C; with deep set it also
-// decompresses each data chunk to prove the payloads decode. On format v2
-// sets the parity shards are digest-scanned too and the report says
-// whether any damage found is still within the erasure budget. Workers fan
-// the chunk scans (0 = GOMAXPROCS). Delta sets (format v3) get their
-// stored blobs scanned; pass the base chain via VerifySet to also check
-// base references.
-func Verify(med Medium, deep bool, workers int) (*VerifyReport, error) {
-	return VerifySet(med, VerifyOptions{Deep: deep, Workers: workers})
-}
-
-// VerifySet is Verify with options; on delta sets it can additionally
-// resolve the base chain and digest-check every base reference.
+// VerifySet checks a checkpoint set without materializing it: manifest
+// digest and structure always, then every stored chunk's CRC32C; with Deep
+// set it also decompresses each one to prove the payloads decode. Parity
+// shards are digest-scanned too, and the report says whether any damage
+// found is still within the erasure budget. On delta sets (format v3) the
+// stored blobs are scanned; pass the base chain in Bases to also check
+// every base reference.
 func VerifySet(med Medium, opts VerifyOptions) (*VerifyReport, error) {
 	workers := opts.Workers
 	if workers <= 0 {
@@ -520,68 +549,48 @@ func VerifySet(med Medium, opts VerifyOptions) (*VerifyReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	if m.IsDelta() {
-		return verifyDelta(med, m, opts, workers)
-	}
-	nData := m.NumChunks()
-	n := nData + m.NumParityChunks()
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	next := make(chan int)
-	go func() {
-		defer close(next)
-		for i := 0; i < n; i++ {
-			next <- i
+	ext := m.extents()
+	scan := append(append(make([]ChunkInfo, 0, len(ext)+len(m.ParityChunks)), ext...), m.ParityChunks...)
+	errs := make([]error, len(scan))
+	par.Run(len(scan), workers, func(i int) {
+		c := &scan[i]
+		buf := make([]byte, c.Size)
+		if _, err := med.ReadAt(buf, c.Offset); err != nil {
+			errs[i] = err
+			return
 		}
-	}()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				var c *ChunkInfo
-				if i < nData {
-					c = &m.Chunks[i]
-				} else {
-					c = &m.ParityChunks[i-nData]
-				}
-				buf := make([]byte, c.Size)
-				if _, err := med.ReadAt(buf, c.Offset); err != nil {
-					errs[i] = err
-					continue
-				}
-				if Digest(buf) != c.CRC {
-					errs[i] = fmt.Errorf("%w: chunk digest mismatch", ErrCorrupt)
-					continue
-				}
-				if opts.Deep && i < nData {
-					if _, _, err := container.Unpack(buf, container.Options{Parallelism: 1}); err != nil {
-						errs[i] = err
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	rep := &VerifyReport{Chunks: nData, ParityChunks: n - nData}
+		if Digest(buf) != c.CRC {
+			errs[i] = fmt.Errorf("%w: chunk digest mismatch", ErrCorrupt)
+			return
+		}
+		if opts.Deep && i < len(ext) {
+			_, errs[i] = m.decodeExtent(i, buf)
+		}
+	})
+	rep := &VerifyReport{Chunks: len(ext), ParityChunks: len(m.ParityChunks)}
 	nFields := len(m.Fields)
-	// lost[field] counts failed stripe members (data chunks and parity
-	// shards alike — both consume the erasure budget).
+	// lost[field] counts failed stripe members: ranks with a failed
+	// extent and failed parity shards alike consume the erasure budget.
 	lost := make([]int, nFields)
-	for i, err := range errs[:nData] {
+	streamLost := make([]bool, m.NumChunks())
+	for i, err := range errs {
+		c := &scan[i]
+		if i >= len(ext) {
+			if err == nil {
+				rep.ParityOK++
+			} else {
+				rep.ParityFailed = append(rep.ParityFailed, ChunkError{Rank: c.Rank, Field: c.Field, Err: err})
+				lost[c.Field]++
+			}
+			continue
+		}
 		if err == nil {
 			rep.ChunksOK++
-		} else {
-			rep.Failed = append(rep.Failed, ChunkError{Rank: i / nFields, Field: i % nFields, Err: err})
-			lost[i%nFields]++
+			continue
 		}
-	}
-	for i, err := range errs[nData:] {
-		c := &m.ParityChunks[i]
-		if err == nil {
-			rep.ParityOK++
-		} else {
-			rep.ParityFailed = append(rep.ParityFailed, ChunkError{Rank: c.Rank, Field: c.Field, Err: err})
+		rep.Failed = append(rep.Failed, ChunkError{Rank: c.Rank, Field: c.Field, Err: err})
+		if s := c.Rank*nFields + c.Field; !streamLost[s] {
+			streamLost[s] = true
 			lost[c.Field]++
 		}
 	}
@@ -591,8 +600,8 @@ func VerifySet(med Medium, opts VerifyOptions) (*VerifyReport, error) {
 			rep.Reconstructable = false
 		}
 	}
-	if len(rep.Failed) > 0 && m.ParityRanks == 0 {
-		rep.Reconstructable = false
+	if m.IsDelta() {
+		verifyRefs(m, opts, workers, rep)
 	}
 	return rep, nil
 }

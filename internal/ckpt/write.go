@@ -5,16 +5,12 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"time"
 
 	"lcpio/internal/compress"
-	"lcpio/internal/container"
-	"lcpio/internal/ec"
 	"lcpio/internal/nfs"
 	"lcpio/internal/obs"
 	"lcpio/internal/retry"
 	"lcpio/internal/stream"
-	"lcpio/internal/wire"
 )
 
 // Field is one input field of a checkpoint set: every rank contributes an
@@ -343,8 +339,9 @@ func (r *WriteResult) OverlapMargin() float64 {
 // overlaps the wire time of chunk k, and the manifest is byte-identical at
 // any worker count. Transient medium faults are retried with capped
 // exponential backoff; wire faults come from the mount's own FaultConfig.
-// The scheduler itself is the shared stream.Engine; Write supplies the
-// compressors as producers and the medium drain as the in-order consumer.
+// Full and delta sets (opts.Base) run the same set pipeline (writeSet on
+// the shared stream.Engine); they differ only in what their producers emit
+// and how their drain commits it.
 func Write(med Medium, set Set, opts WriteOptions) (*WriteResult, error) {
 	if err := set.validate(); err != nil {
 		return nil, err
@@ -367,171 +364,18 @@ func Write(med Medium, set Set, opts WriteOptions) (*WriteResult, error) {
 	}
 	span := obs.Start("ckpt.write")
 	defer span.End()
-
-	nFields := len(set.Fields)
-	n := set.Ranks * nFields
-	var coder *ec.Coder
-	if opts.ParityRanks < 0 || opts.ParityRanks > maxParityRanks {
-		return nil, fmt.Errorf("ckpt: parity ranks %d outside [0, %d]", opts.ParityRanks, maxParityRanks)
-	}
-	if opts.ParityRanks > 0 {
-		var err error
-		if coder, err = ec.New(set.Ranks, opts.ParityRanks); err != nil {
-			return nil, err
-		}
-	}
-
-	// Lanes 0..Workers-1 are the compressors; lane Workers is the in-order
-	// writer on the caller's goroutine; lane Workers+1 is the dispatcher.
-	eng := stream.Start(n, stream.Options{
-		Name:          "ckpt.write",
-		Workers:       opts.Workers,
-		QueueDepth:    opts.QueueDepth,
-		QueueGauge:    "lcpio_ckpt_queue_depth",
-		InFlightGauge: "lcpio_ckpt_bytes_in_flight",
-	}, func(lane int) stream.ProduceFunc {
-		packer, perr := container.NewPacker(set.Codec,
-			container.Options{ChunkElems: opts.ChunkElems, Parallelism: 1})
-		return func(idx int) ([]byte, error) {
-			if perr != nil {
-				return nil, perr
-			}
-			f := &set.Fields[idx%nFields]
-			return packer.Pack(f.Data[idx/nFields], f.Dims, f.ErrorBound)
-		}
-	})
-	defer eng.Close()
-
-	m := &Manifest{
-		SetName:     set.Name,
-		Meta:        set.Meta,
-		Codec:       set.Codec,
-		Ranks:       set.Ranks,
-		Fields:      make([]FieldInfo, nFields),
-		Chunks:      make([]ChunkInfo, n),
-		ParityRanks: opts.ParityRanks,
-	}
-	for i, f := range set.Fields {
-		m.Fields[i] = FieldInfo{Name: f.Name, Dims: append([]int(nil), f.Dims...), ErrorBound: f.ErrorBound}
-	}
-
-	res := &WriteResult{Manifest: m, Chunks: n, ParityRanks: opts.ParityRanks}
-	var header [headerLen]byte
-	wire.AppendUint32(wire.AppendUint32(header[:0], magic), m.formatVersion())
-	wr := eng.Consumer()
-	wr.Run("flush")
-	if _, err := writeChunk(med, header[:], 0, opts, res); err != nil {
-		wr.WaitInput()
-		return nil, fmt.Errorf("ckpt: writing header: %w", err)
-	}
-	wr.WaitInput()
-
-	// In-order drain via the engine's reorder buffer, on this goroutine.
-	// writerClock is the simulated drain timeline: a chunk's transfer
-	// starts when both the wire is free and the chunk is compressed
-	// (AvailAt).
-	var writerClock, compressWall float64
-	offset := int64(headerLen)
-	// Parity accumulators, one stripe per field. Each committed chunk is
-	// folded in as it drains, so parity generation pipelines alongside the
-	// compression of later chunks; GF(2^8) accumulation is order- and
-	// padding-independent, so the shards are byte-identical at any worker
-	// count or queue depth.
-	var parity [][][]byte
-	if coder != nil {
-		parity = make([][][]byte, nFields)
-	}
-	if err := eng.Drain(func(d stream.Item) error {
-		if d.Err != nil {
-			return fmt.Errorf("ckpt: chunk %d (rank %d, field %q): %w",
-				d.Idx, d.Idx/nFields, set.Fields[d.Idx%nFields].Name, d.Err)
-		}
-		if d.AvailAt > compressWall {
-			compressWall = d.AvailAt
-		}
-		c := &m.Chunks[d.Idx]
-		c.Offset = offset
-		c.Size = int64(len(d.Blob))
-		c.CRC = Digest(d.Blob)
-		simSec, err := writeChunk(med, d.Blob, offset, opts, res)
-		if err != nil {
-			return fmt.Errorf("ckpt: chunk %d: %w", d.Idx, err)
-		}
-		res.SimWriteSeconds += simSec
-		if d.AvailAt > writerClock {
-			writerClock = d.AvailAt
-		}
-		writerClock += simSec
-		if coder != nil {
-			fi := d.Idx % nFields
-			ecStart := time.Now()
-			parity[fi], err = coder.UpdateParity(parity[fi], d.Idx/nFields, d.Blob, opts.Workers)
+	m := newManifest(&set, opts)
+	m.Chunks = make([]ChunkInfo, set.Ranks*len(set.Fields))
+	return writeSet(med, &set, opts, m, stream.Options{Name: "ckpt.write"},
+		ChunkProducer(&set, opts.ChunkElems), func(w *setWriter, d stream.Item[[]byte]) error {
+			off, err := w.put(d.Val, d.AvailAt)
 			if err != nil {
-				return fmt.Errorf("ckpt: parity fold of chunk %d: %w", d.Idx, err)
+				return fmt.Errorf("ckpt: chunk %d: %w", d.Idx, err)
 			}
-			res.ECEncodeSeconds += time.Since(ecStart).Seconds()
-		}
-		offset += c.Size
-		res.PayloadBytes += c.Size
-		obs.Add("lcpio_ckpt_chunks_written_total", 1)
-		obs.Add("lcpio_ckpt_bytes_written_total", c.Size)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	wr.Run("flush")
-
-	// Parity shards land after the data payload, field-major, riding the
-	// same retry/transfer path as data chunks.
-	if coder != nil {
-		m.ParityChunks = make([]ChunkInfo, nFields*opts.ParityRanks)
-		for fi := 0; fi < nFields; fi++ {
-			for j := 0; j < opts.ParityRanks; j++ {
-				blob := parity[fi][j]
-				c := m.ParityChunk(fi, j)
-				c.Rank, c.Field = set.Ranks+j, fi
-				c.Offset = offset
-				c.Size = int64(len(blob))
-				c.CRC = Digest(blob)
-				simSec, err := writeChunk(med, blob, offset, opts, res)
-				if err != nil {
-					return nil, fmt.Errorf("ckpt: parity shard (field %q, %d): %w",
-						set.Fields[fi].Name, j, err)
-				}
-				res.SimWriteSeconds += simSec
-				writerClock += simSec
-				offset += c.Size
-				res.ParityBytes += c.Size
-				obs.Add("lcpio_ckpt_parity_bytes_written_total", c.Size)
-			}
-		}
-	}
-
-	// Manifest + footer ride the same retry/transfer path as chunks.
-	mb := m.encode()
-	simSec, err := writeChunk(med, mb, offset, opts, res)
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: writing manifest: %w", err)
-	}
-	res.SimWriteSeconds += simSec
-	writerClock += simSec
-	var foot []byte
-	foot = wire.AppendUint64(foot, uint64(offset))
-	foot = wire.AppendUint64(foot, uint64(len(mb)))
-	foot = wire.AppendUint32(foot, Digest(mb))
-	foot = wire.AppendUint32(foot, magic)
-	if _, err := writeChunk(med, foot, offset+int64(len(mb)), opts, res); err != nil {
-		return nil, fmt.Errorf("ckpt: writing footer: %w", err)
-	}
-
-	res.FileBytes = offset + int64(len(mb)) + footerLen
-	res.RawBytes = m.RawBytes()
-	res.setSchedules(compressWall, writerClock)
-	res.MeanRelEB = meanRelEB(set)
-	obs.AddFloat("lcpio_ckpt_sim_write_seconds_total", res.SimWriteSeconds)
-	obs.Set("lcpio_ckpt_queue_depth", 0)
-	obs.Set("lcpio_ckpt_bytes_in_flight", 0)
-	return res, nil
+			c := &m.Chunks[d.Idx]
+			c.Offset, c.Size, c.CRC = off, int64(len(d.Val)), Digest(d.Val)
+			return w.fold(d.Idx, d.Val)
+		})
 }
 
 // writeChunk drains one blob to the medium with capped exponential backoff

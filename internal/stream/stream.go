@@ -14,9 +14,12 @@
 //     window always covers the oldest unconsumed items and the in-order
 //     consumer can never starve behind out-of-order completions.
 //
-// The engine is independent of what "produce" and "consume" mean: ckpt.Write
-// compresses chunks and drains them to a medium; the svc client compresses
-// chunks and drains them onto a session's wire framing.
+// The engine is generic in the produced value and independent of what
+// "produce" and "consume" mean. It has three callers: ckpt.Write compresses
+// []byte chunks and drains them to a medium; its delta path produces each
+// stream's classified []deltaEntry runs and drains them into the same set
+// writer; the svc client compresses []byte chunks and drains them onto a
+// session's wire framing.
 package stream
 
 import (
@@ -73,13 +76,15 @@ func (o Options) normalized() Options {
 	return o
 }
 
-// ProduceFunc produces the blob for one item index.
-type ProduceFunc func(idx int) ([]byte, error)
+// ProduceFunc produces the value for one item index and its size in bytes
+// (the unit of Options.InFlightGauge).
+type ProduceFunc[T any] func(idx int) (v T, size int64, err error)
 
-// Item carries one produced blob to the consumer.
-type Item struct {
+// Item carries one produced value to the consumer.
+type Item[T any] struct {
 	Idx  int
-	Blob []byte
+	Val  T
+	Size int64
 	// Err is the producer's failure for this index; the consumer sees it
 	// in order and decides how to wrap it.
 	Err error
@@ -91,7 +96,7 @@ type Item struct {
 // Engine is one running pipeline. Start it, optionally drive the consumer
 // lane's clock around out-of-band work (headers, trailers), Drain it, and
 // Close it (Close is idempotent and safe after a failed Drain).
-type Engine struct {
+type Engine[T any] struct {
 	opts Options
 	n    int
 	pt   *obs.PipelineTrace
@@ -100,7 +105,7 @@ type Engine struct {
 	start   time.Time
 	sem     chan struct{}
 	tasks   chan int
-	results chan Item
+	results chan Item[T]
 	quit    chan struct{}
 	wg      sync.WaitGroup
 
@@ -114,15 +119,15 @@ type Engine struct {
 // packer lives in the closure); a lane whose setup fails should return a
 // ProduceFunc that reports the error, so it surfaces in order at the
 // consumer.
-func Start(n int, opts Options, newProducer func(lane int) ProduceFunc) *Engine {
+func Start[T any](n int, opts Options, newProducer func(lane int) ProduceFunc[T]) *Engine[T] {
 	opts = opts.normalized()
-	e := &Engine{
+	e := &Engine[T]{
 		opts:    opts,
 		n:       n,
 		start:   time.Now(),
 		sem:     make(chan struct{}, opts.QueueDepth),
 		tasks:   make(chan int),
-		results: make(chan Item, opts.Workers),
+		results: make(chan Item[T], opts.Workers),
 		quit:    make(chan struct{}),
 	}
 	if opts.Name != "" {
@@ -162,8 +167,8 @@ func Start(n int, opts Options, newProducer func(lane int) ProduceFunc) *Engine 
 			produce := newProducer(lane)
 			for idx := range e.tasks {
 				wc.Run(opts.ProduceStage)
-				d := Item{Idx: idx}
-				d.Blob, d.Err = produce(idx)
+				d := Item[T]{Idx: idx}
+				d.Val, d.Size, d.Err = produce(idx)
 				d.AvailAt = time.Since(e.start).Seconds()
 				wc.WaitOutput()
 				select {
@@ -179,15 +184,15 @@ func Start(n int, opts Options, newProducer func(lane int) ProduceFunc) *Engine 
 }
 
 // Workers reports the normalized producer count.
-func (e *Engine) Workers() int { return e.opts.Workers }
+func (e *Engine[T]) Workers() int { return e.opts.Workers }
 
 // QueueDepth reports the normalized backpressure window.
-func (e *Engine) QueueDepth() int { return e.opts.QueueDepth }
+func (e *Engine[T]) QueueDepth() int { return e.opts.QueueDepth }
 
 // Consumer returns the consumer lane's occupancy clock (nil when tracing is
 // off), so the caller can attribute out-of-band work — header and trailer
 // flushes around the drain loop — to named stages on the same lane.
-func (e *Engine) Consumer() *obs.WorkerClock { return e.wr }
+func (e *Engine[T]) Consumer() *obs.WorkerClock { return e.wr }
 
 // Drain runs the in-order consumer on the calling goroutine: every item is
 // buffered until its index is next, then handed to consume exactly once, in
@@ -195,8 +200,8 @@ func (e *Engine) Consumer() *obs.WorkerClock { return e.wr }
 // Item.Err) aborts the pipeline and is returned verbatim. Drain stops the
 // producers before returning; Close afterwards is still required to end the
 // trace.
-func (e *Engine) Drain(consume func(Item) error) error {
-	pending := make(map[int]Item, e.opts.QueueDepth)
+func (e *Engine[T]) Drain(consume func(Item[T]) error) error {
+	pending := make(map[int]Item[T], e.opts.QueueDepth)
 	var pendingBytes int64
 	nextWrite := 0
 	var fatal error
@@ -206,7 +211,7 @@ func (e *Engine) Drain(consume func(Item) error) error {
 			break
 		}
 		pending[d.Idx] = d
-		pendingBytes += int64(len(d.Blob))
+		pendingBytes += d.Size
 		if e.opts.QueueGauge != "" {
 			obs.Set(e.opts.QueueGauge, float64(len(pending)))
 		}
@@ -217,7 +222,7 @@ func (e *Engine) Drain(consume func(Item) error) error {
 			}
 			e.wr.Run(e.opts.ConsumeStage)
 			delete(pending, nextWrite)
-			pendingBytes -= int64(len(d.Blob))
+			pendingBytes -= d.Size
 			if err := consume(d); err != nil {
 				fatal = err
 				break
@@ -238,14 +243,14 @@ func (e *Engine) Drain(consume func(Item) error) error {
 }
 
 // stop halts the dispatcher and producers and waits them out.
-func (e *Engine) stop() {
+func (e *Engine[T]) stop() {
 	e.stopOnce.Do(func() { close(e.quit) })
 	e.wg.Wait()
 }
 
 // Close stops the pipeline (if Drain has not already) and ends the
 // occupancy trace. Idempotent.
-func (e *Engine) Close() {
+func (e *Engine[T]) Close() {
 	e.stop()
 	e.endOnce.Do(func() { e.pt.End() })
 }

@@ -13,15 +13,15 @@ import (
 func TestDrainInOrder(t *testing.T) {
 	const n = 100
 	for _, workers := range []int{1, 2, 3, 8} {
-		eng := Start(n, Options{Workers: workers}, func(lane int) ProduceFunc {
-			return func(idx int) ([]byte, error) {
-				return []byte(fmt.Sprintf("item-%d", idx)), nil
+		eng := Start(n, Options{Workers: workers}, func(lane int) ProduceFunc[[]byte] {
+			return func(idx int) ([]byte, int64, error) {
+				return []byte(fmt.Sprintf("item-%d", idx)), 0, nil
 			}
 		})
 		var got []int
-		err := eng.Drain(func(it Item) error {
-			if string(it.Blob) != fmt.Sprintf("item-%d", it.Idx) {
-				t.Fatalf("workers=%d: item %d carries blob %q", workers, it.Idx, it.Blob)
+		err := eng.Drain(func(it Item[[]byte]) error {
+			if string(it.Val) != fmt.Sprintf("item-%d", it.Idx) {
+				t.Fatalf("workers=%d: item %d carries blob %q", workers, it.Idx, it.Val)
 			}
 			got = append(got, it.Idx)
 			return nil
@@ -48,13 +48,13 @@ func TestBackpressureWindow(t *testing.T) {
 	const n, depth = 64, 4
 	var produced, consumed atomic.Int64
 	maxAhead := int64(0)
-	eng := Start(n, Options{Workers: 3, QueueDepth: depth}, func(lane int) ProduceFunc {
-		return func(idx int) ([]byte, error) {
+	eng := Start(n, Options{Workers: 3, QueueDepth: depth}, func(lane int) ProduceFunc[[]byte] {
+		return func(idx int) ([]byte, int64, error) {
 			produced.Add(1)
-			return []byte{byte(idx)}, nil
+			return []byte{byte(idx)}, 0, nil
 		}
 	})
-	err := eng.Drain(func(it Item) error {
+	err := eng.Drain(func(it Item[[]byte]) error {
 		if ahead := produced.Load() - consumed.Load(); ahead > maxAhead {
 			maxAhead = ahead
 		}
@@ -74,16 +74,16 @@ func TestBackpressureWindow(t *testing.T) {
 // the consumer's wrapped error, and the engine shuts down cleanly.
 func TestProducerErrorSurfacesInOrder(t *testing.T) {
 	boom := errors.New("boom")
-	eng := Start(32, Options{Workers: 4}, func(lane int) ProduceFunc {
-		return func(idx int) ([]byte, error) {
+	eng := Start(32, Options{Workers: 4}, func(lane int) ProduceFunc[[]byte] {
+		return func(idx int) ([]byte, int64, error) {
 			if idx == 7 {
-				return nil, boom
+				return nil, 0, boom
 			}
-			return []byte{byte(idx)}, nil
+			return []byte{byte(idx)}, 0, nil
 		}
 	})
 	last := -1
-	err := eng.Drain(func(it Item) error {
+	err := eng.Drain(func(it Item[[]byte]) error {
 		if it.Err != nil {
 			return fmt.Errorf("item %d: %w", it.Idx, it.Err)
 		}
@@ -106,11 +106,11 @@ func TestProducerErrorSurfacesInOrder(t *testing.T) {
 // without consuming later items.
 func TestConsumerErrorAborts(t *testing.T) {
 	stop := errors.New("stop")
-	eng := Start(32, Options{Workers: 2}, func(lane int) ProduceFunc {
-		return func(idx int) ([]byte, error) { return []byte{byte(idx)}, nil }
+	eng := Start(32, Options{Workers: 2}, func(lane int) ProduceFunc[[]byte] {
+		return func(idx int) ([]byte, int64, error) { return []byte{byte(idx)}, 0, nil }
 	})
 	seen := 0
-	err := eng.Drain(func(it Item) error {
+	err := eng.Drain(func(it Item[[]byte]) error {
 		if it.Idx == 5 {
 			return stop
 		}
@@ -131,15 +131,15 @@ func TestConsumerErrorAborts(t *testing.T) {
 func TestPerLaneProducerState(t *testing.T) {
 	const workers = 4
 	var setups atomic.Int64
-	eng := Start(200, Options{Workers: workers}, func(lane int) ProduceFunc {
+	eng := Start(200, Options{Workers: workers}, func(lane int) ProduceFunc[[]byte] {
 		setups.Add(1)
 		calls := 0 // lane-private: no synchronization needed if the contract holds
-		return func(idx int) ([]byte, error) {
+		return func(idx int) ([]byte, int64, error) {
 			calls++
-			return []byte{byte(lane), byte(calls)}, nil
+			return []byte{byte(lane), byte(calls)}, 0, nil
 		}
 	})
-	err := eng.Drain(func(it Item) error { return nil })
+	err := eng.Drain(func(it Item[[]byte]) error { return nil })
 	eng.Close()
 	if err != nil {
 		t.Fatal(err)
@@ -167,10 +167,10 @@ func TestNormalizedDefaults(t *testing.T) {
 
 // TestCloseIdempotent: Close after Drain, twice, is safe.
 func TestCloseIdempotent(t *testing.T) {
-	eng := Start(4, Options{Workers: 2}, func(lane int) ProduceFunc {
-		return func(idx int) ([]byte, error) { return nil, nil }
+	eng := Start(4, Options{Workers: 2}, func(lane int) ProduceFunc[[]byte] {
+		return func(idx int) ([]byte, int64, error) { return nil, 0, nil }
 	})
-	if err := eng.Drain(func(Item) error { return nil }); err != nil {
+	if err := eng.Drain(func(Item[[]byte]) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	eng.Close()

@@ -7,7 +7,6 @@ import (
 	"net"
 
 	"lcpio/internal/ckpt"
-	"lcpio/internal/container"
 	"lcpio/internal/stream"
 )
 
@@ -109,43 +108,23 @@ func (c *Client) dump(set ckpt.Set, req OpenRequest, opts DumpOptions) (Result, 
 	}
 	sid := acc.Session
 
-	// Compress chunks exactly like ckpt.Write — same engine, same per-lane
-	// packer, rank-major index order — but the in-order drain ships PUT
-	// frames instead of writing a local medium.
+	// Compress chunks through ckpt.Write's own producer on the same engine,
+	// but the in-order drain ships PUT frames instead of writing a local
+	// medium.
 	nFields := len(set.Fields)
-	n := set.Ranks * nFields
-	eng := stream.Start(n, stream.Options{
+	eng := stream.Start(set.Ranks*nFields, stream.Options{
 		Name:    "svc.client",
 		Workers: opts.Workers, QueueDepth: opts.QueueDepth,
-	}, func(lane int) stream.ProduceFunc {
-		packer, perr := container.NewPacker(set.Codec, container.Options{
-			ChunkElems: opts.ChunkElems, Parallelism: 1,
-		})
-		return func(idx int) ([]byte, error) {
-			if perr != nil {
-				return nil, perr
-			}
-			f := &set.Fields[idx%nFields]
-			return packer.Pack(f.Data[idx/nFields], f.Dims, f.ErrorBound)
-		}
-	})
+	}, ckpt.ChunkProducer(&set, opts.ChunkElems))
 	defer eng.Close()
-	rawLens := make([]int64, nFields)
-	for i, f := range set.Fields {
-		elems := int64(1)
-		for _, d := range f.Dims {
-			elems *= int64(d)
-		}
-		rawLens[i] = elems * 4
-	}
-	err = eng.Drain(func(d stream.Item) error {
+	err = eng.Drain(func(d stream.Item[[]byte]) error {
 		if d.Err != nil {
 			return fmt.Errorf("svc: chunk %d: %w", d.Idx, d.Err)
 		}
-		out := frame{Type: framePut, Session: sid, Payload: encodePut(d.Idx, d.Blob)}
+		out := frame{Type: framePut, Session: sid, Payload: encodePut(d.Idx, d.Val)}
 		if req.WireCodec != "" {
 			out = frame{Type: framePutZ, Session: sid,
-				Payload: encodePutZ(d.Idx, rawLens[d.Idx%nFields], d.Blob)}
+				Payload: encodePutZ(d.Idx, int64(req.Fields[d.Idx%nFields].Elems())*4, d.Val)}
 		}
 		if err := writeFrame(c.rw, out); err != nil {
 			return err

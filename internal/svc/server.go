@@ -798,7 +798,7 @@ func (s *Server) List() []SetEntry {
 }
 
 // OpenSet returns a read-only medium view of a finalized set, positioned
-// and sized so the unmodified ckpt.Restore / ckpt.Verify read it like a
+// and sized so the unmodified ckpt.Restore / ckpt.VerifySet read it like a
 // standalone file. The view forwards read penalties when the shared
 // medium is cache-wrapped.
 func (s *Server) OpenSet(name string) (ckpt.Medium, error) {

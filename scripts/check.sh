@@ -39,6 +39,14 @@ go test -race -count=1 -v \
     -run '^(TestAdvisorRegretGate|TestFeedbackConvergence)$' \
     ./internal/advisor/
 
+# Checkpoint determinism gate: full, parity and delta sets — written and
+# reported through the one set pipeline on stream.Engine — must be
+# byte-identical at every worker count. Run by name so a broken shared
+# pipeline cannot hide in the full sweep.
+go test -race -count=1 -v \
+    -run '^(TestRoundTripByteIdenticalAcrossWorkerCounts|TestParityWriteByteIdenticalAcrossWorkerCounts|TestDeltaDeterministicAcrossWorkers|TestReportDeterministicAcrossWorkerCounts)$' \
+    ./internal/ckpt/
+
 # Worker-scaling gate: on hosts with >= 8 cores, 8-worker compression must
 # reach >= 3x the 1-worker throughput on both codecs (the tests self-skip on
 # narrower machines, where wall-clock scaling assertions are meaningless).
