@@ -1,12 +1,16 @@
-// Package compress defines the common codec interface over the sz and zfp
-// implementations, a registry keyed by the names the paper uses, and the
-// quality metrics (compression ratio, maximum absolute error, PSNR) the
-// experiment harness reports.
+// Package compress is the one codec layer over the sz, zfp and squant
+// implementations, plus the quality metrics (compression ratio, maximum
+// absolute error, PSNR) the experiment harness reports.
+//
+// One table maps each codec name to a constructor for its reusable Handle;
+// every entry point reads it. A Handle is one handle type around a codec's
+// compressor and decompressor. A Codec from Lookup or LookupParallel is
+// stateless: it records the name and worker count and builds a fresh Handle
+// per call, so it is safe for concurrent use.
 package compress
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"lcpio/internal/squant"
@@ -16,7 +20,7 @@ import (
 
 // Codec is an error-bounded lossy compressor for float32 arrays.
 type Codec interface {
-	// Name returns the registry name ("sz" or "zfp").
+	// Name returns the table name ("sz", "zfp" or "squant").
 	Name() string
 	// Compress encodes data (row-major, dims slowest first) so that every
 	// reconstructed value differs from the original by at most eb.
@@ -25,211 +29,167 @@ type Codec interface {
 	Decompress(buf []byte) ([]float32, []int, error)
 }
 
-type szCodec struct{}
-
-func (szCodec) Name() string { return "sz" }
-func (szCodec) Compress(data []float32, dims []int, eb float64) ([]byte, error) {
-	return sz.Compress(data, dims, eb)
-}
-func (szCodec) Decompress(buf []byte) ([]float32, []int, error) {
-	return sz.Decompress(buf)
-}
-
-type zfpCodec struct{}
-
-func (zfpCodec) Name() string { return "zfp" }
-func (zfpCodec) Compress(data []float32, dims []int, eb float64) ([]byte, error) {
-	return zfp.Compress(data, dims, eb)
-}
-func (zfpCodec) Decompress(buf []byte) ([]float32, []int, error) {
-	return zfp.Decompress(buf)
+// Handle is a reusable compression handle: repeated calls reuse all codec
+// scratch (quantization codes, Huffman tables, bitstream and match buffers),
+// reaching a zero-allocation steady state. Handles are NOT safe for
+// concurrent use — create one per worker goroutine.
+type Handle interface {
+	Name() string
+	Compress(data []float32, dims []int, eb float64) ([]byte, error)
+	// CompressAppend appends the stream to dst, avoiding the output
+	// allocation too when dst has capacity.
+	CompressAppend(dst []byte, data []float32, dims []int, eb float64) ([]byte, error)
+	Decompress(buf []byte) ([]float32, []int, error)
+	Compress64(data []float64, dims []int, eb float64) ([]byte, error)
+	CompressAppend64(dst []byte, data []float64, dims []int, eb float64) ([]byte, error)
+	Decompress64(buf []byte) ([]float64, []int, error)
 }
 
-type squantCodec struct{}
-
-func (squantCodec) Name() string { return "squant" }
-func (squantCodec) Compress(data []float32, dims []int, eb float64) ([]byte, error) {
-	return squant.Compress(data, dims, eb)
+// codecs is the codec table: name → constructor of a Handle with the given
+// intra-codec worker count (0 = all cores). Worker count affects execution
+// only, never the compressed bytes.
+var codecs = map[string]func(workers int) Handle{
+	"sz": func(workers int) Handle {
+		opts := sz.Defaults()
+		opts.Parallelism = workers
+		return &handle{"sz", sz.NewCompressor(opts), sz.NewDecompressor(opts)}
+	},
+	"zfp": func(workers int) Handle {
+		opts := zfp.Options{Parallelism: workers}
+		return &handle{"zfp", zfp.NewCompressor(opts), zfp.NewDecompressor(opts)}
+	},
+	// squant is a flat scalar quantizer with no parallel path and no
+	// scratch worth keeping.
+	"squant": func(int) Handle { return &handle{"squant", squantOneShot{}, squantOneShot{}} },
 }
-func (squantCodec) Decompress(buf []byte) ([]float32, []int, error) {
-	return squant.Decompress(buf)
-}
 
-var registry = map[string]Codec{
-	"sz":     szCodec{},
-	"zfp":    zfpCodec{},
-	"squant": squantCodec{},
-}
-
-// Lookup returns the codec registered under name.
-func Lookup(name string) (Codec, error) {
-	c, ok := registry[name]
+// constructor returns the table entry for name, or the one unknown-codec
+// error every entry point reports.
+func constructor(name string) (func(workers int) Handle, error) {
+	build, ok := codecs[name]
 	if !ok {
 		return nil, fmt.Errorf("compress: unknown codec %q (have %v)", name, Names())
 	}
-	return c, nil
+	return build, nil
 }
 
 // Names lists the registered codec names in sorted order.
 func Names() []string {
-	out := make([]string, 0, len(registry))
-	for n := range registry {
+	out := make([]string, 0, len(codecs))
+	for n := range codecs {
 		out = append(out, n)
 	}
 	sort.Strings(out)
 	return out
 }
 
-// Compress64 compresses float64 data with the named codec. Both codecs
-// carry double precision end to end, so bounds below float32 resolution
+// NewHandle returns a reusable Handle for the named codec with the given
+// intra-codec worker count (0 = all cores).
+func NewHandle(name string, workers int) (Handle, error) {
+	build, err := constructor(name)
+	if err != nil {
+		return nil, err
+	}
+	return build(workers), nil
+}
+
+// Lookup returns the codec registered under name, running on all cores.
+func Lookup(name string) (Codec, error) { return LookupParallel(name, 0) }
+
+// LookupParallel returns a stateless Codec that runs the named codec with
+// the given intra-codec worker count (0 = all cores).
+func LookupParallel(name string, workers int) (Codec, error) {
+	if _, err := constructor(name); err != nil {
+		return nil, err
+	}
+	return codec{name, workers}, nil
+}
+
+// codec builds a fresh Handle per call, so one value may be shared across
+// goroutines.
+type codec struct {
+	name    string
+	workers int
+}
+
+func (c codec) Name() string { return c.name }
+func (c codec) Compress(data []float32, dims []int, eb float64) ([]byte, error) {
+	return codecs[c.name](c.workers).Compress(data, dims, eb)
+}
+func (c codec) Decompress(buf []byte) ([]float32, []int, error) {
+	return codecs[c.name](c.workers).Decompress(buf)
+}
+
+// Compress64 compresses float64 data with the named codec. Every codec
+// carries double precision end to end, so bounds below float32 resolution
 // are honored.
 func Compress64(codecName string, data []float64, dims []int, eb float64) ([]byte, error) {
-	switch codecName {
-	case "sz":
-		return sz.Compress64(data, dims, eb)
-	case "zfp":
-		return zfp.Compress64(data, dims, eb)
-	case "squant":
-		return squant.Compress64(data, dims, eb)
-	default:
-		return nil, fmt.Errorf("compress: unknown codec %q (have %v)", codecName, Names())
+	h, err := NewHandle(codecName, 0)
+	if err != nil {
+		return nil, err
 	}
+	return h.Compress64(data, dims, eb)
 }
 
 // Decompress64 reverses Compress64.
 func Decompress64(codecName string, buf []byte) ([]float64, []int, error) {
-	switch codecName {
-	case "sz":
-		return sz.Decompress64(buf)
-	case "zfp":
-		return zfp.Decompress64(buf)
-	case "squant":
-		return squant.Decompress64(buf)
-	default:
-		return nil, nil, fmt.Errorf("compress: unknown codec %q (have %v)", codecName, Names())
-	}
-}
-
-// Result summarizes one compression run for reporting.
-type Result struct {
-	Codec           string
-	ErrorBound      float64
-	RawBytes        int64
-	CompressedBytes int64
-	MaxAbsError     float64
-	PSNR            float64 // dB, against the data range
-}
-
-// Ratio returns raw/compressed.
-func (r Result) Ratio() float64 {
-	if r.CompressedBytes == 0 {
-		return 0
-	}
-	return float64(r.RawBytes) / float64(r.CompressedBytes)
-}
-
-// BitRate returns compressed bits per value (raw values are 32-bit).
-func (r Result) BitRate() float64 {
-	if r.RawBytes == 0 {
-		return 0
-	}
-	return 32 * float64(r.CompressedBytes) / float64(r.RawBytes)
-}
-
-// Evaluate compresses, decompresses and scores a codec on one array.
-func Evaluate(c Codec, data []float32, dims []int, eb float64) (Result, error) {
-	buf, err := c.Compress(data, dims, eb)
+	h, err := NewHandle(codecName, 0)
 	if err != nil {
-		return Result{}, err
+		return nil, nil, err
 	}
-	out, _, err := c.Decompress(buf)
+	return h.Decompress64(buf)
+}
+
+// compressor and decompressor are the method sets sz and zfp share; handle
+// embeds one of each to be a Handle.
+type compressor interface {
+	Compress(data []float32, dims []int, eb float64) ([]byte, error)
+	CompressAppend(dst []byte, data []float32, dims []int, eb float64) ([]byte, error)
+	Compress64(data []float64, dims []int, eb float64) ([]byte, error)
+	CompressAppend64(dst []byte, data []float64, dims []int, eb float64) ([]byte, error)
+}
+
+type decompressor interface {
+	Decompress(buf []byte) ([]float32, []int, error)
+	Decompress64(buf []byte) ([]float64, []int, error)
+}
+
+// handle is the one Handle type.
+type handle struct {
+	name string
+	compressor
+	decompressor
+}
+
+func (h *handle) Name() string { return h.name }
+
+// squantOneShot adapts squant's one-shot functions to the compressor and
+// decompressor method sets.
+type squantOneShot struct{}
+
+func (squantOneShot) Compress(data []float32, dims []int, eb float64) ([]byte, error) {
+	return squant.Compress(data, dims, eb)
+}
+func (squantOneShot) CompressAppend(dst []byte, data []float32, dims []int, eb float64) ([]byte, error) {
+	buf, err := squant.Compress(data, dims, eb)
 	if err != nil {
-		return Result{}, fmt.Errorf("compress: %s round trip: %w", c.Name(), err)
+		return nil, err
 	}
-	if len(out) != len(data) {
-		return Result{}, fmt.Errorf("compress: %s returned %d values, want %d", c.Name(), len(out), len(data))
-	}
-	return Result{
-		Codec:           c.Name(),
-		ErrorBound:      eb,
-		RawBytes:        int64(len(data)) * 4,
-		CompressedBytes: int64(len(buf)),
-		MaxAbsError:     MaxAbsError(data, out),
-		PSNR:            PSNR(data, out),
-	}, nil
+	return append(dst, buf...), nil
 }
-
-// MaxAbsError returns max_i |a[i]-b[i]|. NaN pairs (both NaN) count as zero
-// error; a NaN mismatch is +Inf.
-func MaxAbsError(a, b []float32) float64 {
-	m := 0.0
-	for i := range a {
-		x, y := float64(a[i]), float64(b[i])
-		if math.IsNaN(x) && math.IsNaN(y) {
-			continue
-		}
-		d := math.Abs(x - y)
-		if math.IsNaN(d) {
-			return math.Inf(1)
-		}
-		if d > m {
-			m = d
-		}
-	}
-	return m
+func (squantOneShot) Compress64(data []float64, dims []int, eb float64) ([]byte, error) {
+	return squant.Compress64(data, dims, eb)
 }
-
-// PSNR computes peak signal-to-noise ratio in dB with the data range as
-// peak, the standard lossy-compression quality metric.
-func PSNR(orig, recon []float32) float64 {
-	if len(orig) == 0 || len(orig) != len(recon) {
-		return 0
+func (squantOneShot) CompressAppend64(dst []byte, data []float64, dims []int, eb float64) ([]byte, error) {
+	buf, err := squant.Compress64(data, dims, eb)
+	if err != nil {
+		return nil, err
 	}
-	lo, hi := float64(orig[0]), float64(orig[0])
-	var mse float64
-	for i := range orig {
-		x := float64(orig[i])
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-		d := x - float64(recon[i])
-		mse += d * d
-	}
-	mse /= float64(len(orig))
-	if mse == 0 {
-		return math.Inf(1)
-	}
-	rng := hi - lo
-	if rng == 0 {
-		return 0
-	}
-	return 20*math.Log10(rng) - 10*math.Log10(mse)
+	return append(dst, buf...), nil
 }
-
-// AbsBoundFromRelative converts a range-relative bound (the 1e-1..1e-4
-// knobs in the paper) into the absolute bound both codecs take.
-func AbsBoundFromRelative(rel float64, data []float32) float64 {
-	if len(data) == 0 {
-		return rel
-	}
-	lo, hi := data[0], data[0]
-	for _, v := range data[1:] {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	r := float64(hi - lo)
-	if r == 0 {
-		r = 1
-	}
-	return rel * r
+func (squantOneShot) Decompress(buf []byte) ([]float32, []int, error) {
+	return squant.Decompress(buf)
 }
-
-// PaperErrorBounds are the four bounds the paper sweeps (Section III-A).
-var PaperErrorBounds = []float64{1e-1, 1e-2, 1e-3, 1e-4}
+func (squantOneShot) Decompress64(buf []byte) ([]float64, []int, error) {
+	return squant.Decompress64(buf)
+}

@@ -94,6 +94,19 @@ func chunkSpans(dims []int, targetElems int) []chunkSpan {
 	return out
 }
 
+// workerHandle returns worker w's reusable handle (intra-codec parallelism
+// 1: the worker pool is the fan-out), creating it on first use.
+func workerHandle(handles []compress.Handle, w int, codecName string) (compress.Handle, error) {
+	if handles[w] == nil {
+		h, err := compress.NewHandle(codecName, 1)
+		if err != nil {
+			return nil, err
+		}
+		handles[w] = h
+	}
+	return handles[w], nil
+}
+
 // handleCompress dispatches a chunk to the handle method matching F.
 func handleCompress[F float32 | float64](h compress.Handle, chunk []F, dims []int, eb float64) ([]byte, error) {
 	switch c := any(chunk).(type) {
@@ -198,14 +211,10 @@ func packGeneric[F float32 | float64](codecName string, elemBits uint32, data []
 		handles = make([]compress.Handle, opts.Parallelism)
 	}
 	par.RunWorker(len(spans), opts.Parallelism, func(w, ci int) {
-		h := handles[w]
-		if h == nil {
-			var err error
-			if h, err = compress.NewHandle(codecName, 1); err != nil {
-				errs[ci] = err
-				return
-			}
-			handles[w] = h
+		h, err := workerHandle(handles, w, codecName)
+		if err != nil {
+			errs[ci] = err
+			return
 		}
 		span := spans[ci]
 		chunkDims := append([]int{span.hi - span.lo}, dims[1:]...)
@@ -385,14 +394,10 @@ func unpackGeneric[F float32 | float64](buf []byte, opts Options, wantBits int) 
 
 	handles := make([]compress.Handle, opts.Parallelism)
 	par.RunWorker(len(p.spans), opts.Parallelism, func(w, ci int) {
-		h := handles[w]
-		if h == nil {
-			var err error
-			if h, err = compress.NewHandle(p.info.Codec, 1); err != nil {
-				errs[ci] = err
-				return
-			}
-			handles[w] = h
+		h, err := workerHandle(handles, w, p.info.Codec)
+		if err != nil {
+			errs[ci] = err
+			return
 		}
 		span := p.spans[ci]
 		blob := buf[p.blobAt[ci] : p.blobAt[ci]+p.blobSz[ci]]
@@ -418,42 +423,33 @@ func unpackGeneric[F float32 | float64](buf []byte, opts Options, wantBits int) 
 // ReadChunk decompresses a single float32 chunk by index, returning its
 // values, its dims, and the slab's starting row in the full array.
 func ReadChunk(buf []byte, idx int) ([]float32, []int, int, error) {
-	p, err := parse(buf)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	if p.info.ElemBits != 32 {
-		return nil, nil, 0, fmt.Errorf("container: holds float%d values; use ReadChunk64", p.info.ElemBits)
-	}
-	if idx < 0 || idx >= len(p.spans) {
-		return nil, nil, 0, fmt.Errorf("container: chunk %d out of range [0,%d)", idx, len(p.spans))
-	}
-	codec, err := compress.Lookup(p.info.Codec)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	blob := buf[p.blobAt[idx] : p.blobAt[idx]+p.blobSz[idx]]
-	vals, dims, err := codec.Decompress(blob)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return vals, dims, p.spans[idx].lo, nil
+	return readChunk[float32](buf, idx, 32, "ReadChunk64")
 }
 
 // ReadChunk64 is ReadChunk for float64 containers.
 func ReadChunk64(buf []byte, idx int) ([]float64, []int, int, error) {
+	return readChunk[float64](buf, idx, 64, "ReadChunk")
+}
+
+// readChunk is ReadChunk for element width wantBits; other names the entry
+// point for the other width.
+func readChunk[F float32 | float64](buf []byte, idx, wantBits int, other string) ([]F, []int, int, error) {
 	p, err := parse(buf)
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	if p.info.ElemBits != 64 {
-		return nil, nil, 0, fmt.Errorf("container: holds float%d values; use ReadChunk", p.info.ElemBits)
+	if p.info.ElemBits != wantBits {
+		return nil, nil, 0, fmt.Errorf("container: holds float%d values; use %s", p.info.ElemBits, other)
 	}
 	if idx < 0 || idx >= len(p.spans) {
 		return nil, nil, 0, fmt.Errorf("container: chunk %d out of range [0,%d)", idx, len(p.spans))
 	}
+	h, err := compress.NewHandle(p.info.Codec, 0)
+	if err != nil {
+		return nil, nil, 0, err
+	}
 	blob := buf[p.blobAt[idx] : p.blobAt[idx]+p.blobSz[idx]]
-	vals, dims, err := compress.Decompress64(p.info.Codec, blob)
+	vals, dims, err := handleDecompress[F](h, blob)
 	if err != nil {
 		return nil, nil, 0, err
 	}

@@ -3,7 +3,8 @@
 // container: run n independent items across at most w goroutines. Work is
 // handed out through an atomic counter rather than pre-partitioned, so
 // uneven item costs (a hard-to-compress slab next to an all-zero one) still
-// balance across workers.
+// balance across workers. Lanes and Resize keep the per-worker scratch those
+// engines reuse across calls.
 package par
 
 import (
@@ -53,4 +54,29 @@ func RunWorker(n, workers int, fn func(worker, i int)) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// Lanes is a per-worker table of lazily created state, indexed by the worker
+// index RunWorker passes. Each index is owned by one goroutine during a run,
+// so Lane needs no locking.
+type Lanes[T any] []*T
+
+// Lane returns worker w's element, creating it on first use.
+func (l Lanes[T]) Lane(w int) *T {
+	if l[w] == nil {
+		l[w] = new(T)
+	}
+	return l[w]
+}
+
+// Resize returns s with length n, keeping every element s has held: a
+// shrink only reslices, so elements past n stay parked in the backing array,
+// and a grow past capacity copies the whole capacity, parked elements too.
+func Resize[S ~[]E, E any](s S, n int) S {
+	if cap(s) < n {
+		grown := make(S, n)
+		copy(grown, s[:cap(s)])
+		return grown
+	}
+	return s[:n]
 }

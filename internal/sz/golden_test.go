@@ -147,7 +147,7 @@ func TestGoldenStreams(t *testing.T) {
 			var reconBits []byte
 			var err error
 			if tc.f64 {
-				stream, err = CompressOpts64(goldenField64(tc.dims), tc.dims, tc.eb, opts)
+				stream, err = NewCompressor(opts).Compress64(goldenField64(tc.dims), tc.dims, tc.eb)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -157,7 +157,7 @@ func TestGoldenStreams(t *testing.T) {
 				}
 				reconBits = float64Bits(out)
 			} else {
-				stream, err = CompressOpts(goldenField32(tc.dims), tc.dims, tc.eb, opts)
+				stream, err = NewCompressor(opts).Compress(goldenField32(tc.dims), tc.dims, tc.eb)
 				if err != nil {
 					t.Fatal(err)
 				}

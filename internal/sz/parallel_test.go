@@ -38,13 +38,13 @@ func TestParallelBytesDeterministic(t *testing.T) {
 
 	opts := Defaults()
 	opts.Parallelism = 1
-	ref, err := CompressOpts(data, dims, eb, opts)
+	ref, err := NewCompressor(opts).Compress(data, dims, eb)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for workers := 2; workers <= 8; workers++ {
 		opts.Parallelism = workers
-		got, err := CompressOpts(data, dims, eb, opts)
+		got, err := NewCompressor(opts).Compress(data, dims, eb)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -67,7 +67,7 @@ func TestParallelDecodeEquivalence(t *testing.T) {
 	}
 	var ref []float32
 	for workers := 1; workers <= 8; workers++ {
-		out, gotDims, err := DecompressOpts(buf, Options{Parallelism: workers})
+		out, gotDims, err := NewDecompressor(Options{Parallelism: workers}).Decompress(buf)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

@@ -17,9 +17,9 @@ func regOpts() Options {
 
 func regRoundTrip(t *testing.T, data []float32, dims []int, eb float64) []byte {
 	t.Helper()
-	comp, err := CompressOpts(data, dims, eb, regOpts())
+	comp, err := NewCompressor(regOpts()).Compress(data, dims, eb)
 	if err != nil {
-		t.Fatalf("CompressOpts: %v", err)
+		t.Fatalf("Compress: %v", err)
 	}
 	out, gotDims, err := Decompress(comp)
 	if err != nil {
@@ -90,11 +90,11 @@ func TestRegressionWinsOnPiecewiseLinearData(t *testing.T) {
 		}
 	}
 	eb := 1e-3
-	hybrid, err := CompressOpts(data, []int{d, d, d}, eb, regOpts())
+	hybrid, err := NewCompressor(regOpts()).Compress(data, []int{d, d, d}, eb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lorenzo, err := CompressOpts(data, []int{d, d, d}, eb, Defaults())
+	lorenzo, err := NewCompressor(Defaults()).Compress(data, []int{d, d, d}, eb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,11 +120,11 @@ func TestRegressionNeverMuchWorseOnRealFields(t *testing.T) {
 		f := fpdata.Generate(spec, spec.ScaleFor(1<<14), 4)
 		lo, hi := f.Range()
 		eb := 1e-3 * float64(hi-lo)
-		hybrid, err := CompressOpts(f.Data, f.Dims, eb, regOpts())
+		hybrid, err := NewCompressor(regOpts()).Compress(f.Data, f.Dims, eb)
 		if err != nil {
 			t.Fatalf("%s hybrid: %v", name, err)
 		}
-		lorenzo, err := CompressOpts(f.Data, f.Dims, eb, Defaults())
+		lorenzo, err := NewCompressor(Defaults()).Compress(f.Data, f.Dims, eb)
 		if err != nil {
 			t.Fatalf("%s lorenzo: %v", name, err)
 		}
@@ -148,7 +148,7 @@ func TestRegressionNonFiniteFallsBack(t *testing.T) {
 		data[i] = float32(i)
 	}
 	data[17] = float32(math.Inf(1))
-	comp, err := CompressOpts(data, []int{6, 6, 6}, 1e-3, regOpts())
+	comp, err := NewCompressor(regOpts()).Compress(data, []int{6, 6, 6}, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestQuickRegressionErrorBound(t *testing.T) {
 			data[i] = float32(rng.NormFloat64() * 100)
 		}
 		eb := 1e-2
-		comp, err := CompressOpts(data, []int{d0, d1, d2}, eb, regOpts())
+		comp, err := NewCompressor(regOpts()).Compress(data, []int{d0, d1, d2}, eb)
 		if err != nil {
 			return false
 		}
@@ -272,7 +272,7 @@ func BenchmarkHybridPredictor(b *testing.B) {
 			b.SetBytes(f.SizeBytes())
 			var compLen int
 			for i := 0; i < b.N; i++ {
-				comp, err := CompressOpts(f.Data, f.Dims, eb, o)
+				comp, err := NewCompressor(o).Compress(f.Data, f.Dims, eb)
 				if err != nil {
 					b.Fatal(err)
 				}

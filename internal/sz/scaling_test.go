@@ -6,6 +6,8 @@ import (
 	"os"
 	"runtime"
 	"testing"
+
+	"lcpio/internal/par"
 )
 
 // matrixField is a mid-sized field used by the worker x granularity matrix:
@@ -43,7 +45,7 @@ func TestByteIdentityMatrix(t *testing.T) {
 
 		var refStream []byte
 		for _, workers := range workerCounts {
-			got, err := CompressOpts(data, dims, eb, Options{Parallelism: workers})
+			got, err := NewCompressor(Options{Parallelism: workers}).Compress(data, dims, eb)
 			if err != nil {
 				t.Fatalf("target=%d workers=%d: %v", target, workers, err)
 			}
@@ -59,7 +61,7 @@ func TestByteIdentityMatrix(t *testing.T) {
 
 		var refOut []float32
 		for _, workers := range workerCounts {
-			out, _, err := DecompressOpts(refStream, Options{Parallelism: workers})
+			out, _, err := NewDecompressor(Options{Parallelism: workers}).Decompress(refStream)
 			if err != nil {
 				t.Fatalf("target=%d workers=%d: decompress: %v", target, workers, err)
 			}
@@ -102,13 +104,16 @@ func TestCompressAllocsSteadyAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return testing.AllocsPerRun(5, func() {
+		return minAllocs(func() {
 			dst, err = c.CompressAppend(dst[:0], data, dims, eb)
 			if err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
+	_, spans := partitionPlan(dims, nil)
+	items := len(spans)
+	fanout := minAllocs(func() { par.RunWorker(items, 8, func(_, _ int) {}) })
 
 	a1 := measure(1)
 	a8 := measure(8)
@@ -118,10 +123,30 @@ func TestCompressAllocsSteadyAcrossWorkers(t *testing.T) {
 	if a8 > 96 {
 		t.Fatalf("8-worker warm compress allocates %.0f times/op; want <= 96 (scratch must be per-lane)", a8)
 	}
-	if a8-a1 > 64 {
-		t.Fatalf("worker fan-out adds %.0f allocs/op (1w=%.0f, 8w=%.0f); want goroutine machinery only",
-			a8-a1, a1, a8)
+	t.Logf("allocs/op: 1 worker %.0f, 8 workers %.0f, empty fan-out %.0f", a1, a8, fanout)
+	// Eight workers may add what an empty par.RunWorker over the same
+	// partitions costs, plus allocSlack. Any per-lane allocation adds at least
+	// one per extra worker (7) and fails.
+	if a8-a1 > fanout+allocSlack {
+		t.Fatalf("worker fan-out adds %.0f allocs/op (1w=%.0f, 8w=%.0f); want <= empty fan-out %.0f + %d",
+			a8-a1, a1, a8, fanout, allocSlack)
 	}
+}
+
+// allocSlack is the allowance above a measured empty fan-out in the alloc
+// gate, below the 7 allocs a per-lane allocation adds between 1 and 8
+// workers.
+const allocSlack = 4
+
+// minAllocs is the least of several testing.AllocsPerRun samples of fn: GC
+// and scheduler noise only ever add allocations, so the minimum is the
+// steady-state count.
+func minAllocs(fn func()) float64 {
+	least := math.Inf(1)
+	for range 3 {
+		least = min(least, testing.AllocsPerRun(3, fn))
+	}
+	return least
 }
 
 // TestScalingGate is the CI scaling gate invoked by scripts/check.sh: on a
@@ -177,7 +202,7 @@ func TestCompressOccupancyParallelFanOut(t *testing.T) {
 
 	data, dims := multiPartField(t)
 	_, spans := partitionPlan(dims, nil)
-	if _, err := CompressOpts(data, dims, 1e-3, Options{Parallelism: 8}); err != nil {
+	if _, err := NewCompressor(Options{Parallelism: 8}).Compress(data, dims, 1e-3); err != nil {
 		t.Fatal(err)
 	}
 
@@ -206,7 +231,7 @@ func TestCompressOccupancyParallelFanOut(t *testing.T) {
 		big[i] = float32(math.Sin(float64(i%dims[2])/64) + 0.01*float64((i/dims[2])%dims[1]))
 	}
 	r2 := installObs(t)
-	if _, err := CompressOpts(big, dims, 1e-3, Options{Parallelism: 8}); err != nil {
+	if _, err := NewCompressor(Options{Parallelism: 8}).Compress(big, dims, 1e-3); err != nil {
 		t.Fatal(err)
 	}
 	p2, ok := r2.Snapshot().Pipelines["sz.compress"]

@@ -138,24 +138,13 @@ func (o Options) workers() int {
 // Compress compresses float32 data (row-major with the given dims, slowest
 // first) under absolute error bound eb using default options.
 func Compress(data []float32, dims []int, eb float64) ([]byte, error) {
-	return CompressOpts(data, dims, eb, Defaults())
+	return NewCompressor(Defaults()).Compress(data, dims, eb)
 }
 
 // Compress64 is Compress for float64 data. The quantization pipeline runs
 // in float64 throughout, so the bound holds at double precision.
 func Compress64(data []float64, dims []int, eb float64) ([]byte, error) {
-	return CompressOpts64(data, dims, eb, Defaults())
-}
-
-// CompressOpts is Compress with explicit options. For repeated calls, a
-// reusable Compressor amortizes all scratch allocations.
-func CompressOpts(data []float32, dims []int, eb float64, opts Options) ([]byte, error) {
-	return NewCompressor(opts).Compress(data, dims, eb)
-}
-
-// CompressOpts64 is Compress64 with explicit options.
-func CompressOpts64(data []float64, dims []int, eb float64, opts Options) ([]byte, error) {
-	return NewCompressor(opts).Compress64(data, dims, eb)
+	return NewCompressor(Defaults()).Compress64(data, dims, eb)
 }
 
 // Decompress reverses Compress, returning the reconstructed float32 array
@@ -168,17 +157,6 @@ func Decompress(buf []byte) ([]float32, []int, error) {
 // Decompress64 reverses Compress64.
 func Decompress64(buf []byte) ([]float64, []int, error) {
 	return NewDecompressor(Options{}).Decompress64(buf)
-}
-
-// DecompressOpts is Decompress with explicit options (only Parallelism is
-// consulted; codec parameters come from the stream header).
-func DecompressOpts(buf []byte, opts Options) ([]float32, []int, error) {
-	return NewDecompressor(opts).Decompress(buf)
-}
-
-// DecompressOpts64 is Decompress64 with explicit options.
-func DecompressOpts64(buf []byte, opts Options) ([]float64, []int, error) {
-	return NewDecompressor(opts).Decompress64(buf)
 }
 
 // elemKind tags the element type in the stream header.
@@ -301,32 +279,8 @@ type partOut struct {
 
 // engine carries the per-precision lane and partition state of a Compressor.
 type engine[F Float] struct {
-	lanes []*laneScratch[F]
+	lanes par.Lanes[laneScratch[F]]
 	parts []partOut
-}
-
-func (e *engine[F]) lane(w int) *laneScratch[F] {
-	if e.lanes[w] == nil {
-		e.lanes[w] = &laneScratch[F]{}
-	}
-	return e.lanes[w]
-}
-
-// sizeTo grows the lane table to workers entries and the partition table to
-// parts entries, reusing existing scratch.
-func (e *engine[F]) sizeTo(workers, parts int) {
-	if cap(e.lanes) < workers {
-		lanes := make([]*laneScratch[F], workers)
-		copy(lanes, e.lanes)
-		e.lanes = lanes
-	}
-	e.lanes = e.lanes[:workers]
-	if cap(e.parts) < parts {
-		po := make([]partOut, parts)
-		copy(po, e.parts)
-		e.parts = po
-	}
-	e.parts = e.parts[:parts]
 }
 
 // Compressor is a reusable compression handle: scratch buffers, Huffman
@@ -404,11 +358,8 @@ func compressInto[F Float](c *Compressor, dst []byte, data []F, dims []int, eb f
 	twoEB := 2 * eb
 
 	eng := engineFor[F](c)
-	laneCount := workers
-	if laneCount > len(spans) {
-		laneCount = len(spans)
-	}
-	eng.sizeTo(laneCount, len(spans))
+	eng.lanes = par.Resize(eng.lanes, min(workers, len(spans)))
+	eng.parts = par.Resize(eng.parts, len(spans))
 	parts := eng.parts
 	for i := range parts {
 		parts[i].err = nil
@@ -421,7 +372,7 @@ func compressInto[F Float](c *Compressor, dst []byte, data []F, dims []int, eb f
 	pt := obs.StartPipeline("sz.compress", workers)
 	par.RunWorker(len(spans), workers, func(w, i int) {
 		wc := pt.Worker(w)
-		lane := eng.lane(w)
+		lane := eng.lanes.Lane(w)
 		pspan := obs.Start("sz.partition")
 		lane.pdims = partDims(dims, splitDepth, spans[i].hi-spans[i].lo, lane.pdims)
 		compressPartition(lane, &parts[i], wc, data[spans[i].lo*rowElems:spans[i].hi*rowElems],
@@ -588,33 +539,12 @@ type decLane[F Float] struct {
 	br    bitstream.Reader
 }
 
-// decEngine carries the per-precision decode lanes of a Decompressor.
-type decEngine[F Float] struct {
-	lanes []*decLane[F]
-}
-
-func (e *decEngine[F]) lane(w int) *decLane[F] {
-	if e.lanes[w] == nil {
-		e.lanes[w] = &decLane[F]{}
-	}
-	return e.lanes[w]
-}
-
-func (e *decEngine[F]) sizeTo(workers int) {
-	if cap(e.lanes) < workers {
-		lanes := make([]*decLane[F], workers)
-		copy(lanes, e.lanes)
-		e.lanes = lanes
-	}
-	e.lanes = e.lanes[:workers]
-}
-
 // Decompressor is the reusable decode-side handle, keeping per-lane scratch
 // across calls. Not safe for concurrent use.
 type Decompressor struct {
 	opts     Options
-	dec32    decEngine[float32]
-	dec64    decEngine[float64]
+	dec32    par.Lanes[decLane[float32]]
+	dec64    par.Lanes[decLane[float64]]
 	spans    []partSpan
 	payloads [][]byte
 	plens    []int
@@ -627,12 +557,12 @@ func NewDecompressor(opts Options) *Decompressor {
 	return &Decompressor{opts: opts}
 }
 
-func decEngineFor[F Float](d *Decompressor) *decEngine[F] {
+func decLanesFor[F Float](d *Decompressor) *par.Lanes[decLane[F]] {
 	var z F
 	if _, ok := any(z).(float32); ok {
-		return any(&d.dec32).(*decEngine[F])
+		return any(&d.dec32).(*par.Lanes[decLane[F]])
 	}
-	return any(&d.dec64).(*decEngine[F])
+	return any(&d.dec64).(*par.Lanes[decLane[F]])
 }
 
 // Decompress reverses Compress.
@@ -756,13 +686,9 @@ func decompressWith[F Float](d *Decompressor, buf []byte) ([]F, []int, error) {
 	quantCount := 1 << quantBits
 	radius := quantCount / 2
 	twoEB := 2 * eb
-	eng := decEngineFor[F](d)
+	lanes := decLanesFor[F](d)
 	spans := d.spans
-	laneCount := workers
-	if laneCount > len(spans) {
-		laneCount = len(spans)
-	}
-	eng.sizeTo(laneCount)
+	*lanes = par.Resize(*lanes, min(workers, len(spans)))
 	if cap(d.errs) < len(spans) {
 		d.errs = make([]error, len(spans))
 	}
@@ -777,7 +703,7 @@ func decompressWith[F Float](d *Decompressor, buf []byte) ([]F, []int, error) {
 	par.RunWorker(len(spans), workers, func(w, i int) {
 		wc := pt.Worker(w)
 		wc.Run("decode_partition")
-		lane := eng.lane(w)
+		lane := lanes.Lane(w)
 		pd := partDims(dims, splitDepth, spans[i].hi-spans[i].lo,
 			pdimsBuf[i*pdLen:i*pdLen:i*pdLen+pdLen])
 		errs[i] = decodePartition(lane, payloads[i], out[spans[i].lo*rowElems:spans[i].hi*rowElems],

@@ -91,7 +91,7 @@ func TestFloat64RegressionPredictor(t *testing.T) {
 	}
 	o := Defaults()
 	o.PredictorOrder = 2
-	comp, err := CompressOpts64(data, []int{d, d, d}, 1e-6, o)
+	comp, err := NewCompressor(o).Compress64(data, []int{d, d, d}, 1e-6)
 	if err != nil {
 		t.Fatal(err)
 	}

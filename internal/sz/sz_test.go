@@ -226,13 +226,13 @@ func TestPredictorOrderAblation(t *testing.T) {
 		}
 	}
 	eb := 1e-4
-	lorenzo, err := CompressOpts(data, []int{d1, d2}, eb, Defaults())
+	lorenzo, err := NewCompressor(Defaults()).Compress(data, []int{d1, d2}, eb)
 	if err != nil {
 		t.Fatal(err)
 	}
 	o := Defaults()
 	o.PredictorOrder = 0
-	baseline, err := CompressOpts(data, []int{d1, d2}, eb, o)
+	baseline, err := NewCompressor(o).Compress(data, []int{d1, d2}, eb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestQuantBitsOption(t *testing.T) {
 	for _, qb := range []int{6, 8, 12, 16, 20} {
 		o := Defaults()
 		o.QuantBits = qb
-		comp, err := CompressOpts(data, []int{512}, 1e-2, o)
+		comp, err := NewCompressor(o).Compress(data, []int{512}, 1e-2)
 		if err != nil {
 			t.Fatalf("qb=%d: %v", qb, err)
 		}
@@ -405,7 +405,7 @@ func BenchmarkPredictorOrder(b *testing.B) {
 			b.SetBytes(f.SizeBytes())
 			var compLen int
 			for i := 0; i < b.N; i++ {
-				comp, err := CompressOpts(f.Data, f.Dims, eb, o)
+				comp, err := NewCompressor(o).Compress(f.Data, f.Dims, eb)
 				if err != nil {
 					b.Fatal(err)
 				}

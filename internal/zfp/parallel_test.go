@@ -34,12 +34,12 @@ func TestParallelBytesDeterministic(t *testing.T) {
 	data, dims := multiShardField(t)
 	const eb = 1e-3
 
-	ref, err := CompressOpts(data, dims, eb, Options{Parallelism: 1})
+	ref, err := NewCompressor(Options{Parallelism: 1}).Compress(data, dims, eb)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for workers := 2; workers <= 8; workers++ {
-		got, err := CompressOpts(data, dims, eb, Options{Parallelism: workers})
+		got, err := NewCompressor(Options{Parallelism: workers}).Compress(data, dims, eb)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -62,7 +62,7 @@ func TestParallelDecodeEquivalence(t *testing.T) {
 	}
 	var ref []float32
 	for workers := 1; workers <= 8; workers++ {
-		out, gotDims, err := DecompressOpts(buf, Options{Parallelism: workers})
+		out, gotDims, err := NewDecompressor(Options{Parallelism: workers}).Decompress(buf)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

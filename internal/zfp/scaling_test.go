@@ -6,6 +6,8 @@ import (
 	"os"
 	"runtime"
 	"testing"
+
+	"lcpio/internal/par"
 )
 
 // TestByteIdentityMatrix sweeps worker counts against shard granularities.
@@ -34,7 +36,7 @@ func TestByteIdentityMatrix(t *testing.T) {
 
 		var refStream []byte
 		for _, workers := range workerCounts {
-			got, err := CompressOpts(data, dims, eb, Options{Parallelism: workers})
+			got, err := NewCompressor(Options{Parallelism: workers}).Compress(data, dims, eb)
 			if err != nil {
 				t.Fatalf("gran=%v workers=%d: %v", gran, workers, err)
 			}
@@ -49,7 +51,7 @@ func TestByteIdentityMatrix(t *testing.T) {
 
 		var refOut []float32
 		for _, workers := range workerCounts {
-			out, _, err := DecompressOpts(refStream, Options{Parallelism: workers})
+			out, _, err := NewDecompressor(Options{Parallelism: workers}).Decompress(refStream)
 			if err != nil {
 				t.Fatalf("gran=%v workers=%d: decompress: %v", gran, workers, err)
 			}
@@ -100,13 +102,17 @@ func TestCompressAllocsSteadyAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return testing.AllocsPerRun(5, func() {
+		return minAllocs(func() {
 			dst, err = c.CompressAppend(dst[:0], data, dims, eb)
 			if err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
+	d0, d1, d2 := shape(dims)
+	nb0, nb1, nb2 := blockGrid(d0, d1, d2, dimensionality(dims))
+	_, items := shardPlan(nb0 * nb1 * nb2)
+	fanout := minAllocs(func() { par.RunWorker(items, 8, func(_, _ int) {}) })
 
 	a1 := measure(1)
 	a8 := measure(8)
@@ -116,10 +122,30 @@ func TestCompressAllocsSteadyAcrossWorkers(t *testing.T) {
 	if a8 > 96 {
 		t.Fatalf("8-worker warm compress allocates %.0f times/op; want <= 96 (scratch must be per-lane)", a8)
 	}
-	if a8-a1 > 64 {
-		t.Fatalf("worker fan-out adds %.0f allocs/op (1w=%.0f, 8w=%.0f); want goroutine machinery only",
-			a8-a1, a1, a8)
+	t.Logf("allocs/op: 1 worker %.0f, 8 workers %.0f, empty fan-out %.0f", a1, a8, fanout)
+	// Eight workers may add what an empty par.RunWorker over the same
+	// shards costs, plus allocSlack. Any per-lane allocation adds at least
+	// one per extra worker (7) and fails.
+	if a8-a1 > fanout+allocSlack {
+		t.Fatalf("worker fan-out adds %.0f allocs/op (1w=%.0f, 8w=%.0f); want <= empty fan-out %.0f + %d",
+			a8-a1, a1, a8, fanout, allocSlack)
 	}
+}
+
+// allocSlack is the allowance above a measured empty fan-out in the alloc
+// gate, below the 7 allocs a per-lane allocation adds between 1 and 8
+// workers.
+const allocSlack = 4
+
+// minAllocs is the least of several testing.AllocsPerRun samples of fn: GC
+// and scheduler noise only ever add allocations, so the minimum is the
+// steady-state count.
+func minAllocs(fn func()) float64 {
+	least := math.Inf(1)
+	for range 3 {
+		least = min(least, testing.AllocsPerRun(3, fn))
+	}
+	return least
 }
 
 // TestScalingGate is the CI scaling gate invoked by scripts/check.sh: on a

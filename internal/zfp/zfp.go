@@ -200,24 +200,13 @@ func parseHeader(buf []byte) (header, error) {
 // Compress compresses float32 data (row-major, dims slowest first) in
 // fixed-accuracy mode with absolute tolerance eb.
 func Compress(data []float32, dims []int, eb float64) ([]byte, error) {
-	return CompressOpts(data, dims, eb, Options{})
+	return NewCompressor(Options{}).Compress(data, dims, eb)
 }
 
 // Compress64 is Compress for float64 data, carrying 52 fractional bits
 // through the block transform.
 func Compress64(data []float64, dims []int, eb float64) ([]byte, error) {
-	return CompressOpts64(data, dims, eb, Options{})
-}
-
-// CompressOpts is Compress with explicit options. For repeated calls, a
-// reusable Compressor amortizes all scratch allocations.
-func CompressOpts(data []float32, dims []int, eb float64, opts Options) ([]byte, error) {
-	return NewCompressor(opts).Compress(data, dims, eb)
-}
-
-// CompressOpts64 is Compress64 with explicit options.
-func CompressOpts64(data []float64, dims []int, eb float64, opts Options) ([]byte, error) {
-	return NewCompressor(opts).Compress64(data, dims, eb)
+	return NewCompressor(Options{}).Compress64(data, dims, eb)
 }
 
 // Decompress reverses any of the three compression modes for float32
@@ -229,16 +218,6 @@ func Decompress(buf []byte) ([]float32, []int, error) {
 // Decompress64 reverses any mode for float64 streams.
 func Decompress64(buf []byte) ([]float64, []int, error) {
 	return NewDecompressor(Options{}).Decompress64(buf)
-}
-
-// DecompressOpts is Decompress with explicit options.
-func DecompressOpts(buf []byte, opts Options) ([]float32, []int, error) {
-	return NewDecompressor(opts).Decompress(buf)
-}
-
-// DecompressOpts64 is Decompress64 with explicit options.
-func DecompressOpts64(buf []byte, opts Options) ([]float64, []int, error) {
-	return NewDecompressor(opts).Decompress64(buf)
 }
 
 // --- shard geometry ----------------------------------------------------------
@@ -331,35 +310,8 @@ type zpartOut struct {
 // zengine is the per-precision half of a Compressor: the worker lanes and
 // per-shard outputs.
 type zengine[F Float] struct {
-	lanes []*zlane[F]
+	lanes par.Lanes[zlane[F]]
 	parts []zpartOut
-}
-
-// lane returns worker w's scratch, creating it on first use. Each worker
-// index is owned by exactly one goroutine during a Run, so lazy creation
-// needs no locking.
-func (e *zengine[F]) lane(w int) *zlane[F] {
-	if e.lanes[w] == nil {
-		e.lanes[w] = &zlane[F]{}
-	}
-	return e.lanes[w]
-}
-
-// sizeTo grows the lane table to workers entries and the shard-output table
-// to parts entries, preserving existing scratch.
-func (e *zengine[F]) sizeTo(workers, parts int) {
-	if cap(e.lanes) < workers {
-		lanes := make([]*zlane[F], workers)
-		copy(lanes, e.lanes)
-		e.lanes = lanes
-	}
-	e.lanes = e.lanes[:workers]
-	if cap(e.parts) < parts {
-		po := make([]zpartOut, parts)
-		copy(po, e.parts)
-		e.parts = po
-	}
-	e.parts = e.parts[:parts]
 }
 
 // Compressor is a reusable fixed-accuracy compression handle pooling all
@@ -426,11 +378,8 @@ func compressInto[F Float](c *Compressor, dst []byte, data []F, dims []int, eb f
 	obs.Set("lcpio_zfp_workers", float64(workers))
 
 	eng := zengineFor[F](c)
-	laneCount := workers
-	if laneCount > numShards {
-		laneCount = numShards
-	}
-	eng.sizeTo(laneCount, numShards)
+	eng.lanes = par.Resize(eng.lanes, min(workers, numShards))
+	eng.parts = par.Resize(eng.parts, numShards)
 	parts := eng.parts
 
 	// The pipeline trace covers the *requested* workers: par clamps
@@ -440,7 +389,7 @@ func compressInto[F Float](c *Compressor, dst []byte, data []F, dims []int, eb f
 	par.RunWorker(numShards, workers, func(w, s int) {
 		wc := pt.Worker(w)
 		wc.Run("encode_shard")
-		ln := eng.lane(w)
+		ln := eng.lanes.Lane(w)
 		sspan := obs.Start("zfp.shard")
 		lo := s * sb
 		hi := lo + sb
@@ -509,33 +458,12 @@ func (ln *zdecLane[F]) size(bs int) {
 	ln.nb = ln.nb[:bs]
 }
 
-// zdecEngine holds the per-precision decode lanes of a Decompressor.
-type zdecEngine[F Float] struct {
-	lanes []*zdecLane[F]
-}
-
-func (e *zdecEngine[F]) lane(w int) *zdecLane[F] {
-	if e.lanes[w] == nil {
-		e.lanes[w] = &zdecLane[F]{}
-	}
-	return e.lanes[w]
-}
-
-func (e *zdecEngine[F]) sizeTo(workers int) {
-	if cap(e.lanes) < workers {
-		lanes := make([]*zdecLane[F], workers)
-		copy(lanes, e.lanes)
-		e.lanes = lanes
-	}
-	e.lanes = e.lanes[:workers]
-}
-
 // Decompressor is the reusable decode-side handle. Not safe for concurrent
 // use.
 type Decompressor struct {
 	opts Options
-	d32  zdecEngine[float32]
-	d64  zdecEngine[float64]
+	d32  par.Lanes[zdecLane[float32]]
+	d64  par.Lanes[zdecLane[float64]]
 
 	// Per-call shard index scratch, shared across precisions.
 	lens     []int
@@ -548,12 +476,12 @@ func NewDecompressor(opts Options) *Decompressor {
 	return &Decompressor{opts: opts}
 }
 
-func zdecEngineFor[F Float](d *Decompressor) *zdecEngine[F] {
+func zdecLanesFor[F Float](d *Decompressor) *par.Lanes[zdecLane[F]] {
 	var z F
 	if _, ok := any(z).(float32); ok {
-		return any(&d.d32).(*zdecEngine[F])
+		return any(&d.d32).(*par.Lanes[zdecLane[F]])
 	}
-	return any(&d.d64).(*zdecEngine[F])
+	return any(&d.d64).(*par.Lanes[zdecLane[F]])
 }
 
 // shardIndex grows and returns the reusable per-shard index slices.
@@ -647,17 +575,13 @@ func decompressAccuracy[F Float](d *Decompressor, buf []byte, h header) ([]F, []
 	span.SetWorkload("zfp.decompress", int64(h.n)*int64(elemKind[F]()/8))
 
 	out := make([]F, h.n)
-	eng := zdecEngineFor[F](d)
-	laneCount := workers
-	if laneCount > numShards {
-		laneCount = numShards
-	}
-	eng.sizeTo(laneCount)
+	lanes := zdecLanesFor[F](d)
+	*lanes = par.Resize(*lanes, min(workers, numShards))
 	pt := obs.StartPipeline("zfp.decompress", workers)
 	par.RunWorker(numShards, workers, func(w, s int) {
 		wc := pt.Worker(w)
 		wc.Run("decode_shard")
-		ln := eng.lane(w)
+		ln := lanes.Lane(w)
 		ln.err = nil
 		lo := s * sb
 		hi := lo + sb

@@ -47,6 +47,25 @@ go test -race -count=1 -v \
     -run '^(TestRoundTripByteIdenticalAcrossWorkerCounts|TestParityWriteByteIdenticalAcrossWorkerCounts|TestDeltaDeterministicAcrossWorkers|TestReportDeterministicAcrossWorkerCounts)$' \
     ./internal/ckpt/
 
+# Codec determinism gate: sz and zfp streams must be byte-identical at every
+# worker count and decode alike on every worker count, a reused Compressor
+# must match one-shot calls, and every compress entry point (Lookup,
+# LookupParallel, NewHandle, Compress64) must give the same bytes and the
+# same unknown-codec error. Run by name so a broken lane table or codec
+# table cannot hide in the full sweep.
+go test -race -count=1 -v \
+    -run '^(TestParallelBytesDeterministic|TestParallelDecodeEquivalence|TestCompressorReuseMatchesOneShot)$' \
+    ./internal/sz/ ./internal/zfp/
+go test -race -count=1 -v \
+    -run '^(TestEntryPointsByteIdentical|TestEntryPointsRejectUnknownCodecAlike)$' \
+    ./internal/compress/
+
+# Alloc gates: with warm scratch, 8-worker compression may add only an empty
+# fan-out's allocations (plus a small slack) over 1 worker. They skip under
+# -race, so run them by name without it.
+go test -count=1 -v -run '^TestCompressAllocsSteadyAcrossWorkers$' \
+    ./internal/sz/ ./internal/zfp/
+
 # Worker-scaling gate: on hosts with >= 8 cores, 8-worker compression must
 # reach >= 3x the 1-worker throughput on both codecs (the tests self-skip on
 # narrower machines, where wall-clock scaling assertions are meaningless).
