@@ -135,19 +135,30 @@ func TestManifestRoundTrip(t *testing.T) {
 }
 
 func TestOverlapPipelinedBeatsSerial(t *testing.T) {
-	med := NewMemMedium()
-	res := mustWrite(t, med, testSet(4), WriteOptions{Workers: 4})
-	if res.SimPipelinedSeconds > res.SimSerialSeconds+1e-12 {
-		t.Fatalf("pipelined %.6g > serial %.6g", res.SimPipelinedSeconds, res.SimSerialSeconds)
-	}
-	if res.OverlapMargin() < 0 {
-		t.Fatalf("negative overlap margin %v", res.OverlapMargin())
-	}
-	if res.SimWriteSeconds <= 0 || res.CompressWallSeconds <= 0 {
-		t.Fatalf("degenerate timings: %+v", res)
-	}
-	if res.Ratio() <= 1 {
-		t.Fatalf("ratio %v not > 1 on smooth data", res.Ratio())
+	for _, workers := range []int{1, 4} {
+		res := mustWrite(t, NewMemMedium(), testSet(4), WriteOptions{Workers: workers})
+		if res.SimPipelinedSeconds > res.SimSerialSeconds+1e-12 {
+			t.Fatalf("workers=%d: pipelined %.6g > serial %.6g",
+				workers, res.SimPipelinedSeconds, res.SimSerialSeconds)
+		}
+		if res.OverlapMargin() < 0 {
+			t.Fatalf("workers=%d: negative overlap margin %v", workers, res.OverlapMargin())
+		}
+		if res.SimWriteSeconds <= 0 || res.CompressWallSeconds <= 0 {
+			t.Fatalf("workers=%d: degenerate timings: %+v", workers, res)
+		}
+		if res.Ratio() <= 1 {
+			t.Fatalf("workers=%d: ratio %v not > 1 on smooth data", workers, res.Ratio())
+		}
+		// One producer compresses chunks in index order, so the writer
+		// drains the first while the rest compress: a writer that held
+		// every transfer until compression ended would save nothing.
+		// Several producers can finish the last chunks together, so the
+		// strict bound holds only at one worker.
+		if workers == 1 && res.OverlapMargin() <= 0 {
+			t.Fatalf("workers=1: no overlap (pipelined %.6g, serial %.6g)",
+				res.SimPipelinedSeconds, res.SimSerialSeconds)
+		}
 	}
 }
 

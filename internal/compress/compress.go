@@ -102,8 +102,22 @@ func LookupParallel(name string, workers int) (Codec, error) {
 	if _, err := constructor(name); err != nil {
 		return nil, err
 	}
+	if workers == 0 {
+		return allCores[name], nil
+	}
 	return codec{name, workers}, nil
 }
+
+// allCores holds each table entry's zero-worker Codec, built once so Lookup
+// does not box a fresh value per call. The values are stateless, so sharing
+// them is safe.
+var allCores = func() map[string]Codec {
+	m := make(map[string]Codec, len(codecs))
+	for name := range codecs {
+		m[name] = codec{name, 0}
+	}
+	return m
+}()
 
 // codec builds a fresh Handle per call, so one value may be shared across
 // goroutines.

@@ -172,3 +172,13 @@ func TestEntryPointsRejectUnknownCodecAlike(t *testing.T) {
 		}
 	}
 }
+
+// TestLookupDoesNotAllocate: container and ckpt validate codec names through
+// Lookup once per chunk, so it returns the table entry's shared Codec.
+func TestLookupDoesNotAllocate(t *testing.T) {
+	for _, name := range Names() {
+		if n := testing.AllocsPerRun(100, func() { _, _ = Lookup(name) }); n != 0 {
+			t.Errorf("Lookup(%q): %v allocs/op, want 0", name, n)
+		}
+	}
+}

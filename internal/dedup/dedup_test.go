@@ -250,3 +250,36 @@ func FuzzSplit(f *testing.F) {
 		}
 	})
 }
+
+// benchBuf is a 32 MiB noisy buffer: noise gives content-defined chunking
+// no runs to skip over.
+func benchBuf() []byte {
+	b := make([]byte, 32<<20)
+	rand.New(rand.NewSource(1)).Read(b)
+	return b
+}
+
+func BenchmarkSplit(b *testing.B) {
+	buf := benchBuf()
+	p := Params{}.Normalized()
+	b.SetBytes(int64(len(buf)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Split(buf, p)
+	}
+}
+
+// BenchmarkSum digests the chunks Split cuts at the default geometry.
+func BenchmarkSum(b *testing.B) {
+	buf := benchBuf()
+	cuts := Split(buf, Params{}.Normalized())
+	b.SetBytes(int64(len(buf)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		prev := 0
+		for _, c := range cuts {
+			Sum(buf[prev:c])
+			prev = c
+		}
+	}
+}

@@ -1,77 +1,20 @@
 package obs_test
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"os"
+	"io"
 	"runtime"
 	"testing"
 	"time"
 
 	"lcpio/internal/obs"
-	"lcpio/internal/sz"
 )
 
-// TestEmitObsBenchJSON is the scripts/bench.sh hook for the telemetry
-// overhead gate: with LCPIO_BENCH_OBS_OUT set it measures sz compression
-// throughput with telemetry off (no registry) and on (recording registry
-// with spans, pipeline clocks and counters live), plus the export latency
-// of every serializer over a large (~15k span) registry, then writes
-// BENCH_obs.json. Without the env var it is a no-op skip.
-//
-// The on/off delta is the acceptance number: the issue gates telemetry
-// overhead at < 5% codec throughput regression. Both sides take the best
-// of several trials so scheduler noise does not masquerade as overhead.
-func TestEmitObsBenchJSON(t *testing.T) {
-	out := os.Getenv("LCPIO_BENCH_OBS_OUT")
-	if out == "" {
-		t.Skip("LCPIO_BENCH_OBS_OUT not set")
-	}
+// BenchmarkExport measures every serializer over a large registry: 100 root
+// spans of 150 children each (~15k spans) with attributes, energy, metrics
+// and a pipeline.
+func BenchmarkExport(b *testing.B) {
 	prev := obs.Active()
-	defer obs.Use(prev)
-
-	const dim = 96 // 96^3 float32 ~ 3.4 MiB raw per compression
-	dims := []int{dim, dim, dim}
-	data := make([]float32, dim*dim*dim)
-	for i := range data {
-		x := float64(i%dim) / 7
-		data[i] = float32(x + float64(i%13)*0.01)
-	}
-	raw := int64(len(data)) * 4
-	workers := runtime.GOMAXPROCS(0)
-	c := sz.NewCompressor(sz.Options{Parallelism: workers})
-
-	// Best-of-N MB/s for one telemetry mode.
-	measure := func(trials, reps int) float64 {
-		best := 0.0
-		for tr := 0; tr < trials; tr++ {
-			start := time.Now()
-			for i := 0; i < reps; i++ {
-				if _, err := c.Compress(data, dims, 1e-3); err != nil {
-					t.Fatal(err)
-				}
-			}
-			mbs := float64(raw*int64(reps)) / time.Since(start).Seconds() / 1e6
-			if mbs > best {
-				best = mbs
-			}
-		}
-		return best
-	}
-
-	obs.Use(nil)
-	offMBs := measure(5, 3)
-	obs.Use(obs.NewRegistry())
-	onMBs := measure(5, 3)
-	obs.Use(prev)
-	regression := 0.0
-	if offMBs > 0 {
-		regression = 1 - onMBs/offMBs
-	}
-
-	// Export latency over a deliberately large registry: a deep-ish span
-	// forest with attributes, energy, metrics and a pipeline, ~15k spans.
 	big := obs.NewRegistry()
 	big.SetEnergyModel(func(string, int64, time.Duration) float64 { return 0 })
 	obs.Use(big)
@@ -87,6 +30,7 @@ func TestEmitObsBenchJSON(t *testing.T) {
 		obs.Observe("lcpio_bench_depth", float64(root))
 		rs.End()
 	}
+	workers := runtime.GOMAXPROCS(0)
 	pt := big.StartPipeline("bench.pipe", workers)
 	for w := 0; w < workers; w++ {
 		wc := pt.Worker(w)
@@ -96,58 +40,22 @@ func TestEmitObsBenchJSON(t *testing.T) {
 	pt.End()
 	obs.Use(prev)
 
-	snap := big.Snapshot()
-	spanCount := 0
-	var walk func(ss []*obs.SpanNode)
-	walk = func(ss []*obs.SpanNode) {
-		for _, s := range ss {
-			spanCount++
-			walk(s.Children)
-		}
-	}
-	walk(snap.Spans)
-
-	var buf bytes.Buffer
-	timeExport := func(f func() error) float64 {
-		best := 0.0
-		for tr := 0; tr < 3; tr++ {
-			buf.Reset()
-			start := time.Now()
-			if err := f(); err != nil {
-				t.Fatal(err)
+	for _, bc := range []struct {
+		name  string
+		write func(io.Writer) error
+	}{
+		{"json", big.WriteJSON},
+		{"prometheus", big.WritePrometheus},
+		{"chrome", big.WriteChromeTrace},
+		{"folded", func(w io.Writer) error { return big.WriteFolded(w, true) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := bc.write(io.Discard); err != nil {
+					b.Fatal(err)
+				}
 			}
-			if sec := time.Since(start).Seconds(); best == 0 || sec < best {
-				best = sec
-			}
-		}
-		return best
+		})
 	}
-	jsonSec := timeExport(func() error { return big.WriteJSON(&buf) })
-	promSec := timeExport(func() error { return big.WritePrometheus(&buf) })
-	chromeSec := timeExport(func() error { return big.WriteChromeTrace(&buf) })
-	foldedSec := timeExport(func() error { return big.WriteFolded(&buf, true) })
-
-	doc := map[string]any{
-		"workers":                      workers,
-		"codec_dim":                    dim,
-		"codec_raw_bytes":              raw,
-		"codec_mb_per_s_telemetry_off": offMBs,
-		"codec_mb_per_s_telemetry_on":  onMBs,
-		"telemetry_regression":         regression,
-		"telemetry_regression_gate":    0.05,
-		"export_span_count":            spanCount,
-		"export_json_seconds":          jsonSec,
-		"export_prometheus_seconds":    promSec,
-		"export_chrome_seconds":        chromeSec,
-		"export_folded_seconds":        foldedSec,
-	}
-	enc, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(enc, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("telemetry off %.1f MB/s, on %.1f MB/s (regression %.2f%%); %d spans exported json=%.1fms chrome=%.1fms -> %s",
-		offMBs, onMBs, 100*regression, spanCount, 1e3*jsonSec, 1e3*chromeSec, out)
 }

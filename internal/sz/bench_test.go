@@ -3,24 +3,14 @@ package sz
 import (
 	"fmt"
 	"math"
-	"os"
-	"strconv"
 	"testing"
 
 	"lcpio/internal/obs"
 )
 
-// benchDim returns the cube edge for benchmark fields. scripts/bench.sh sets
-// LCPIO_BENCH_DIM=256 for the acceptance run; the default stays small so
-// `go test -bench` finishes quickly on laptops.
-func benchDim() int {
-	if s := os.Getenv("LCPIO_BENCH_DIM"); s != "" {
-		if d, err := strconv.Atoi(s); err == nil && d >= 8 {
-			return d
-		}
-	}
-	return 64
-}
+// benchDim is the cube edge of benchmark fields: 64^3 float32 is 1 MiB raw,
+// small enough that `go test -bench` finishes quickly.
+const benchDim = 64
 
 func benchField(dim int) ([]float32, []int) {
 	dims := []int{dim, dim, dim}
@@ -36,7 +26,7 @@ func benchField(dim int) ([]float32, []int) {
 // BenchmarkCompressWorkers measures compression throughput at worker counts
 // 1/2/4/8. Bytes/op is the raw input size, so ns/op converts to MB/s.
 func BenchmarkCompressWorkers(b *testing.B) {
-	data, dims := benchField(benchDim())
+	data, dims := benchField(benchDim)
 	raw := int64(len(data)) * 4
 	for _, workers := range []int{1, 2, 4, 8} {
 		opts := Defaults()
@@ -56,7 +46,7 @@ func BenchmarkCompressWorkers(b *testing.B) {
 
 // BenchmarkDecompressWorkers measures decode throughput at worker counts.
 func BenchmarkDecompressWorkers(b *testing.B) {
-	data, dims := benchField(benchDim())
+	data, dims := benchField(benchDim)
 	raw := int64(len(data)) * 4
 	buf, err := Compress(data, dims, 1e-3)
 	if err != nil {
@@ -80,7 +70,7 @@ func BenchmarkDecompressWorkers(b *testing.B) {
 // handle, cold pools every call) against a reused Compressor whose scratch
 // pools are warm — the zero-alloc steady state the engine is built around.
 func BenchmarkCompressorReuse(b *testing.B) {
-	data, dims := benchField(benchDim())
+	data, dims := benchField(benchDim)
 	raw := int64(len(data)) * 4
 	b.Run("oneshot", func(b *testing.B) {
 		b.SetBytes(raw)
@@ -118,7 +108,7 @@ func BenchmarkCompressorReuse(b *testing.B) {
 // compression hot path: "off" with no registry installed (the default), "on"
 // with a live registry recording every span.
 func BenchmarkTelemetry(b *testing.B) {
-	data, dims := benchField(benchDim())
+	data, dims := benchField(benchDim)
 	raw := int64(len(data)) * 4
 	c := NewCompressor(Defaults())
 	run := func(b *testing.B) {

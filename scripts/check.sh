@@ -23,6 +23,11 @@ go test -race ./...
 # and FuzzSketch the advisor's hostile-field corpus).
 go test -run '^Fuzz' ./...
 
+# Benchmark smoke: run every Benchmark* function once so none rots between
+# the runs that time them. Per-layer throughput comes from these with
+# `go test -bench`; end-to-end wall-clock numbers come from lcbench.
+go test -run '^$' -bench . -benchtime 1x ./...
+
 # Daemon concurrency gate: the checkpoint service must sustain 8
 # simultaneous tenant streams race-clean with byte-identical restores, and
 # its admission queue must drain under session pressure. Run by name (and
